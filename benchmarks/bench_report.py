@@ -71,8 +71,6 @@ def _summarise(benchmark: str, record: dict) -> list:
             f"    engine dispatch {m.get('engine_overhead_x')}x direct; "
             f"warm store hit rate {m.get('warm_hit_rate')} "
             f"({m.get('warm_speedup_x')}x)",
-            f"    session submit->collect {m.get('session_s')}s "
-            f"for {m.get('session_runs')} runs",
         ]
     if benchmark == "prt":
         coverage = record.get("coverage", {})

@@ -13,11 +13,9 @@ layer instead of running it inline:
   miss + put);
 * **warm store** — the immediate rerun with ``resume=True``: every
   shard answered from the content-hashed cache, reporting the hit rate
-  and the resulting speedup;
-* **session** — the full ``submit → run → collect`` file-backed
-  lifecycle of ``repro serve``.
+  and the resulting speedup.
 
-All five produce the same report payload (timing aside) — asserted
+All four produce the same report payload (timing aside) — asserted
 here, because a benchmark of a nondeterministic service would be
 measuring noise — and the record lands in ``BENCH_service.json`` for
 the nightly ``bench-report`` bundle.  Run directly::
@@ -38,13 +36,7 @@ from _harness import Sections, parse_geometry, timed, write_record
 from repro.conformance import run_fault_sweep, sweep_faults
 from repro.core.controller import ControllerCapabilities
 from repro.march import library
-from repro.service import (
-    JobEngine,
-    ResultStore,
-    collect_session,
-    run_session,
-    submit_session,
-)
+from repro.service import JobEngine, ResultStore
 
 #: Small enough that service overhead is the signal, not the sweep.
 ALGORITHMS = ("MATS+", "March C", "March Y")
@@ -120,24 +112,9 @@ def main(argv=None) -> int:
         warm_stats = warm.service_stats["store"]
         hits = warm_stats["hits"]
         hit_rate = hits / max(1, hits + warm_stats["misses"])
-
-        spec = {
-            "algorithms": list(ALGORITHMS),
-            "geometries": [list(geometry)],
-            "per_kind": args.per_kind,
-            "seed": 0,
-        }
-        with sections.section("session"):
-            with timed() as t_session:
-                sid = submit_session(f"{workdir}/svc", spec)
-                run_session(f"{workdir}/svc", sid)
-                collected = collect_session(f"{workdir}/svc", sid)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    # The session wraps its sweep in a multi-geometry report; compare
-    # the inner sweep so all five paths face the same identity bar.
-    payloads["session"] = collected["geometries"][0]
     reference = _sans_timing(payloads["direct"])
     identical = all(
         _sans_timing(p) == reference for p in payloads.values()
@@ -166,8 +143,6 @@ def main(argv=None) -> int:
                 "store_warm_s": round(t_warm.seconds, 6),
                 "warm_hit_rate": round(hit_rate, 4),
                 "warm_speedup_x": ratio(t_cold.seconds, t_warm.seconds),
-                "session_s": round(t_session.seconds, 6),
-                "session_runs": collected["checked"],
             },
         },
         sections=sections,
@@ -186,7 +161,6 @@ def main(argv=None) -> int:
         f"  store cold {m['store_cold_s']}s -> warm {m['store_warm_s']}s "
         f"(hit rate {m['warm_hit_rate']}, {m['warm_speedup_x']}x)"
     )
-    print(f"  session submit->collect {m['session_s']}s")
     return 0 if identical else 1
 
 

@@ -56,11 +56,6 @@ Commands:
     shard checkpoints so an interrupted sweep resumes (``--resume``)
     and an identical rerun is pure cache hits.  SIGINT writes the
     partial report (marked ``"interrupted": true``) and exits 130.
-``serve``
-    File-backed sweep sessions in the BIST controller handshake idiom:
-    ``submit`` configures (prints the content-addressed session id),
-    ``run`` starts or resumes, ``status`` polls, ``collect`` returns
-    the report.
 ``conformance``
     Differential conformance tooling: ``run`` checks one algorithm (or
     ``--all``) op-for-op across the architectures with a structured
@@ -719,72 +714,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """File-backed sweep sessions (configure→start→poll→collect)."""
-    from repro.service import (
-        collect_session,
-        list_sessions,
-        run_session,
-        session_status,
-        submit_session,
-    )
-
-    if args.serve_command == "submit":
-        spec = {
-            "algorithms": (
-                "all" if args.all else [args.algorithm]
-            ),
-            "geometries": [
-                list(_parse_geometry(token))
-                for token in (args.geometry or ["8x2x1"])
-            ],
-            "per_kind": args.per_kind,
-            "seed": args.seed,
-            "full": args.full_universe,
-            "compress": not args.no_compress,
-            "max_ops": args.max_ops,
-            "engine": args.engine,
-            "mode": args.mode,
-        }
-        sid = submit_session(args.root, spec)
-        print(json.dumps({"session": sid, "state": "submitted"}, indent=2)
-              if args.json else sid)
-        return 0
-    if args.serve_command == "run":
-        payload = run_session(
-            args.root, args.session, jobs=args.jobs,
-            shard_timeout=args.shard_timeout,
-        )
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            status = session_status(args.root, args.session)
-            print(f"session {args.session}: {status['state']} "
-                  f"({status.get('checked', 0)} runs, "
-                  f"{status.get('failures', 0)} failure(s))")
-        return 0 if payload.get("ok") else 1
-    if args.serve_command == "status":
-        statuses = (
-            [session_status(args.root, args.session)]
-            if args.session
-            else list_sessions(args.root)
-        )
-        if args.json:
-            print(json.dumps(statuses, indent=2))
-        else:
-            for status in statuses:
-                print(f"{status['session']}  {status['state']:<12} "
-                      f"{status.get('checked', 0)} runs, "
-                      f"{status.get('failures', 0)} failure(s)")
-            if not statuses:
-                print("no sessions")
-        return 0
-    # collect
-    payload = collect_session(args.root, args.session)
-    print(json.dumps(payload, indent=2))
-    return 0 if payload.get("ok") else 1
-
-
 def _cmd_conformance_record(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -1242,86 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "partial report is written, marked interrupted)",
     )
     sweep_cmd.set_defaults(handler=_cmd_sweep)
-
-    serve = commands.add_parser(
-        "serve",
-        help="file-backed sweep sessions in the BIST handshake idiom: "
-        "submit (configure), run (start/resume), status (poll), "
-        "collect",
-    )
-    serve_commands = serve.add_subparsers(
-        dest="serve_command", required=True
-    )
-
-    def _serve_common(sub):
-        sub.add_argument(
-            "--root", default=".repro-service", metavar="DIR",
-            help="service root holding the store and sessions "
-            "(default: .repro-service)",
-        )
-        sub.add_argument(
-            "--json", action="store_true", help="machine-readable output"
-        )
-
-    serve_submit = serve_commands.add_parser(
-        "submit", help="configure a sweep session; prints its id"
-    )
-    _serve_common(serve_submit)
-    serve_submit.add_argument(
-        "--algorithm", default="March C",
-        help='library algorithm name (see "algorithms")',
-    )
-    serve_submit.add_argument(
-        "--all", action="store_true",
-        help="sweep every library algorithm",
-    )
-    serve_submit.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry (repeatable; default: 8x2x1)",
-    )
-    serve_submit.add_argument("--per-kind", type=int, default=2)
-    serve_submit.add_argument("--seed", type=int, default=0)
-    serve_submit.add_argument("--full-universe", action="store_true")
-    serve_submit.add_argument("--no-compress", action="store_true")
-    serve_submit.add_argument("--max-ops", type=int, default=None)
-    serve_submit.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar"
-    )
-    serve_submit.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
-    )
-    serve_submit.set_defaults(handler=_cmd_serve)
-
-    serve_run = serve_commands.add_parser(
-        "run", help="start (or resume) a submitted session"
-    )
-    _serve_common(serve_run)
-    serve_run.add_argument("session", help="session id from submit")
-    serve_run.add_argument(
-        "--jobs", type=int, default=1, help="engine worker processes"
-    )
-    serve_run.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="S",
-        help="per-shard wall-clock budget in seconds",
-    )
-    serve_run.set_defaults(handler=_cmd_serve)
-
-    serve_status = serve_commands.add_parser(
-        "status", help="poll one session (or list all)"
-    )
-    _serve_common(serve_status)
-    serve_status.add_argument(
-        "session", nargs="?", help="session id (default: list all)"
-    )
-    serve_status.set_defaults(handler=_cmd_serve)
-
-    serve_collect = serve_commands.add_parser(
-        "collect", help="print a finished session's report JSON"
-    )
-    _serve_common(serve_collect)
-    serve_collect.add_argument("session", help="session id")
-    serve_collect.set_defaults(handler=_cmd_serve)
 
     certify_cmd = commands.add_parser(
         "certify",

@@ -1,15 +1,26 @@
 """Differential fault-response conformance of the three architectures.
 
-PR 3's :func:`repro.conformance.check_conformance` proves the
-architectures emit identical *stimulus* on fault-free memories; this
-module proves they give identical *verdicts* on broken ones — the
+:func:`repro.conformance.check_conformance` proves the architectures
+emit identical *stimulus* on fault-free memories; this module proves they give identical *verdicts* on broken ones — the
 property the paper actually sells (detection, fail logging, diagnosis
-across fabrication stages).  :func:`check_fault_conformance` runs every
-architecture's full BIST session against *the same* injected fault
-(fresh :meth:`~repro.faults.injector.FaultInjector.injected` context
-per run, so dynamic fault state and cell contents never leak between
-architectures) and differentially compares the responses on three
-layers, most precise first:
+across fabrication stages).
+
+:func:`check_fault_conformance` captures a golden response to one
+injected fault and hands it to a single comparator together with the
+regime's *partners* — ``(name, build_stream, capture, session_noun)``
+tuples, each run on a fresh
+:meth:`~repro.faults.injector.FaultInjector.injected` memory so dynamic
+fault state and cell contents never leak between runs:
+
+* sequential march tests — the selected controller architectures
+  (:data:`~repro.conformance.check.STREAM_BUILDERS` streams captured by
+  :data:`RESPONSE_CAPTURES`);
+* concurrent and in-field modes — ``replay``, an independent
+  re-capture of the golden stream;
+* PRT sessions — ``prt-controller`` (the cycle-stepped FSM) and
+  ``replay``.
+
+Responses are compared on three layers, most precise first:
 
 1. **fail events** — the normalised event streams of
    :mod:`repro.conformance.faulty.events`, key-for-key, with a
@@ -19,18 +30,21 @@ layers, most precise first:
    consumes (failing addresses / failing cells, in first-failure
    order);
 3. **diagnosis** — the :func:`repro.diagnostics.classifier.classify`
-   verdict per failing cell.
+   verdict per failing cell (sequential march tests only: the
+   classifier's op-index model is the march golden stream).
 
-The golden reference response is the golden expansion applied to the
-same fault.  Statuses mirror the stimulus checker and add robustness
-classification: ``skipped`` (progfsm outside SM0–SM7), ``error`` (a
-controller that hangs, crashes, or overruns the per-run op budget on a
-decoder-fault memory is a harness *error*, not a response mismatch)
-and ``diverged`` with the offending layer named.
+Statuses mirror the stimulus checker and add robustness
+classification: ``skipped`` (progfsm outside SM0–SM7, or no transparent
+variant for an in-field session), ``error`` (a controller that hangs,
+crashes, or overruns the per-run op budget on a decoder-fault memory is
+a harness *error*, not a response mismatch) and ``diverged`` with the
+offending layer named.  :func:`run_fault_sweep` and the vector engine's
+``run_vector_fault_sweep`` share one serial-or-sharded helper.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -54,7 +68,6 @@ from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import format_fault
-from repro.march.notation import format_test
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 
@@ -83,12 +96,12 @@ LAYERS: Tuple[str, ...] = ("events", "faillog", "diagnosis")
 #: * ``concurrent`` — the same-cycle dual-port cycle stream of
 #:   :func:`repro.march.concurrent.expand_concurrent`.  None of the
 #:   paper's controllers realises it (their port loops are sequential by
-#:   construction), so the differential partner is a *replay*: a second
+#:   construction), so the only partner is a ``replay``: a second
 #:   independent capture on a freshly injected memory, proving the
 #:   response is a deterministic function of (stimulus, fault).
 #: * ``infield`` — the deterministic in-field transparent session of
 #:   :mod:`repro.conformance.infield`, with the given algorithm's
-#:   transparent variant as the test slot; compared replay-style too.
+#:   transparent variant as the test slot; its partner is a replay too.
 MODES: Tuple[str, ...] = ("sequential", "concurrent", "infield")
 
 
@@ -326,122 +339,42 @@ def _diagnose(
     ]
 
 
-def _check_replay_conformance(
-    test: MarchTest,
+#: One differential partner of the golden response:
+#: ``(name, build_stream, capture, session_noun)``.  ``build_stream()``
+#: returns the partner's attributed stream, ``capture`` records its
+#: response on a freshly injected memory, and ``session_noun`` names the
+#: session in error details (``wedged BIST session`` for a controller
+#: realisation, ``wedged replay session`` for a replayed golden stream).
+Partner = Tuple[
+    str, Callable[[], Sequence[Any]], Callable[..., ResponseCapture], str
+]
+
+
+def _compare_responses(
+    result: FaultResponseResult,
+    test: Any,
     caps: ControllerCapabilities,
     fault: CellFault,
-    compress: bool,
+    golden_stream: Sequence[Any],
+    capture: Callable[..., ResponseCapture],
+    partners: Sequence[Partner],
     max_ops: Optional[int],
-    mode: str,
-    infield_seed: int,
+    march: bool,
 ) -> FaultResponseResult:
-    """Replay-style conformance for the non-sequential regimes.
+    """Compare every partner's response with the golden one, in order.
 
-    The concurrent and in-field stimuli have no controller realisation
-    to compare against (the paper's architectures are sequential by
-    construction), so the differential partner is a second independent
-    capture on a freshly injected memory: any dynamic fault state or
-    cell contents leaking across the injector boundary — or any
-    non-determinism in the stimulus itself — surfaces as a replay
-    divergence on the events or fail-log layer.  The diagnosis layer is
-    not compared: the classifier's op-index model is the sequential
-    golden stream.
+    The one stimulus→response comparator behind
+    :func:`check_fault_conformance`.  Each partner's stream is built,
+    captured against ``fault`` on a freshly injected memory and compared
+    layer by layer (events, then fail log, then diagnosis); the first
+    layer that disagrees names the divergence.  ``march`` marks the
+    controller architectures of a sequential march test: only there does
+    a ``RuntimeError`` from a stream builder mean a non-terminating
+    simulation, and only there is the diagnosis layer compared (the
+    classifier's op-index model is the march golden stream).
     """
-    from repro.conformance.infield import cached_infield_plan
+    from repro.core.progfsm.compiler import CompileError
 
-    result = FaultResponseResult(
-        notation=format_test(test),
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        mode=mode,
-    )
-    response = ArchitectureResponse(architecture="replay")
-    result.responses.append(response)
-    if mode == "concurrent":
-        stream = CONCURRENT_CACHE.get(test, caps)
-        capture_fn = capture_cycle_response
-    else:
-        try:
-            plan = cached_infield_plan(
-                caps, seed=infield_seed, tests=(test,)
-            )
-        except ValueError as error:
-            response.status = "skipped"
-            response.detail = f"no transparent variant: {error}"
-            return result
-        stream = plan.stream
-        capture_fn = capture_response
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(stream), 1)
-    )
-    injector = FaultInjector(
-        Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    )
-    with injector.injected(fault) as memory:
-        golden = capture_fn(stream, memory, max_ops=budget)
-    result.golden_events = len(golden.events)
-    golden_cells = golden.log(test.name).failing_cells()
-
-    try:
-        with injector.injected(fault) as memory:
-            capture = capture_fn(stream, memory, max_ops=budget)
-    except ResponseBudgetExceeded as error:
-        response.status = "error"
-        response.detail = f"wedged replay session: {error}"
-        return result
-    except Exception as error:
-        response.status = "error"
-        response.detail = (
-            f"replay session crashed: {type(error).__name__}: {error}"
-        )
-        return result
-    response.ops_applied = capture.ops_applied
-    response.event_count = len(capture.events)
-    response.failing_cells = capture.log(test.name).failing_cells()
-
-    divergence = first_fail_divergence(
-        golden.events, capture.events, "replay"
-    )
-    if divergence is not None:
-        response.status = "diverged"
-        response.layer = "events"
-        response.divergence = divergence
-    elif response.failing_cells != golden_cells:
-        response.status = "diverged"
-        response.layer = "faillog"
-        response.mismatch = (
-            f"failing cells {response.failing_cells} != golden "
-            f"{golden_cells}"
-        )
-    return result
-
-
-def _check_prt_conformance(
-    session,
-    caps: ControllerCapabilities,
-    fault: CellFault,
-    compress: bool,
-    max_ops: Optional[int],
-) -> FaultResponseResult:
-    """Differential fault-response conformance of a PRT session.
-
-    The golden reference is the session's nested-loop shadow expansion
-    (:meth:`repro.prt.session.PrtSession.attributed_stream`); the
-    differential partners are the cycle-stepped FSM realisation of
-    :class:`repro.prt.controller.PrtController` (``prt-controller``)
-    and an independent replay of the golden stream on a freshly
-    injected memory (``replay``).  Events and fail-log layers are
-    compared; the diagnosis layer is march-specific (the classifier's
-    op-index model is the march golden stream) and is skipped, exactly
-    as in the concurrent/in-field replay regimes.
-    """
-    from repro.prt.controller import PrtController
-
-    golden_stream = session.attributed_stream(caps)
     budget = (
         max_ops
         if max_ops is not None
@@ -451,196 +384,50 @@ def _check_prt_conformance(
         Sram(caps.n_words, width=caps.width, ports=caps.ports)
     )
     with injector.injected(fault) as memory:
-        golden = capture_response(golden_stream, memory, max_ops=budget)
-    golden_cells = golden.log(session.name).failing_cells()
+        golden = capture(golden_stream, memory, max_ops=budget)
+    result.golden_events = len(golden.events)
+    golden_cells = golden.log(test.name).failing_cells()
+    golden_diagnosis = _diagnose(golden, test, caps) if march else []
 
-    result = FaultResponseResult(
-        notation=session.notation,
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        golden_events=len(golden.events),
-    )
-
-    def build_controller_stream():
-        return PrtController(session.config, caps).attributed_stream()
-
-    def build_replay_stream():
-        return session.attributed_stream(caps)
-
-    for name, build in (
-        ("prt-controller", build_controller_stream),
-        ("replay", build_replay_stream),
-    ):
+    for name, build_stream, partner_capture, noun in partners:
         response = ArchitectureResponse(architecture=name)
         result.responses.append(response)
         try:
-            stream = build()
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"controller crashed: {type(error).__name__}: {error}"
-            )
-            continue
-        try:
-            with injector.injected(fault) as memory:
-                capture = capture_response(stream, memory, max_ops=budget)
-        except ResponseBudgetExceeded as error:
-            response.status = "error"
-            response.detail = f"wedged BIST session: {error}"
-            continue
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"BIST session crashed: {type(error).__name__}: {error}"
-            )
-            continue
-        response.ops_applied = capture.ops_applied
-        response.event_count = len(capture.events)
-        response.failing_cells = capture.log(session.name).failing_cells()
-
-        divergence = first_fail_divergence(
-            golden.events, capture.events, name
-        )
-        if divergence is not None:
-            response.status = "diverged"
-            response.layer = "events"
-            response.divergence = divergence
-        elif response.failing_cells != golden_cells:
-            response.status = "diverged"
-            response.layer = "faillog"
-            response.mismatch = (
-                f"failing cells {response.failing_cells} != golden "
-                f"{golden_cells}"
-            )
-    return result
-
-
-def check_fault_conformance(
-    test: MarchTest,
-    capabilities: ControllerCapabilities,
-    fault: CellFault,
-    architectures: Sequence[str] = ARCHITECTURES,
-    compress: bool = True,
-    max_ops: Optional[int] = None,
-    mode: str = "sequential",
-    infield_seed: int = 0,
-) -> FaultResponseResult:
-    """Differentially test the architectures' responses to ``fault``.
-
-    Args:
-        test: the march algorithm, or a
-            :class:`repro.prt.session.PrtSession` — pseudo-ring
-            sessions dispatch to their own differential path
-            (golden expansion vs FSM controller vs replay; sequential
-            mode only).
-        capabilities: memory geometry all controllers target.
-        fault: the single fault injected for every run (state is reset
-            between runs by the injector).
-        architectures: subset of :data:`ARCHITECTURES` to compare
-            (sequential mode only).
-        compress: microcode REPEAT compression.
-        max_ops: per-run op budget; defaults to
-            :data:`DEFAULT_BUDGET_FACTOR` × the golden stream length.
-        mode: stimulus regime (see :data:`MODES`).  The non-sequential
-            regimes compare golden against an independent replay
-            instead of the controller architectures.
-        infield_seed: session seed for ``mode="infield"``.
-
-    Returns:
-        A :class:`FaultResponseResult`; ``.ok`` means every compared
-        architecture produced the golden fail events, fail-log
-        aggregations and diagnosis.
-    """
-    from repro.core.progfsm.compiler import CompileError
-    from repro.prt.session import PrtSession
-
-    caps = capabilities
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
-    if isinstance(test, PrtSession):
-        if mode != "sequential":
-            raise ValueError(
-                f"PRT sessions are sequential stimuli; mode {mode!r} is "
-                "not realisable"
-            )
-        return _check_prt_conformance(test, caps, fault, compress, max_ops)
-    if mode != "sequential":
-        return _check_replay_conformance(
-            test, caps, fault, compress, max_ops, mode, infield_seed
-        )
-    unknown = set(architectures) - set(ARCHITECTURES)
-    if unknown:
-        raise ValueError(
-            f"unknown architecture(s) {sorted(unknown)}; "
-            f"known: {list(ARCHITECTURES)}"
-        )
-    golden_stream = GOLDEN_CACHE.get(test, caps)
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(golden_stream), 1)
-    )
-    injector = FaultInjector(
-        Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    )
-    with injector.injected(fault) as memory:
-        golden = capture_response(golden_stream, memory, max_ops=budget)
-    golden_cells = golden.log(test.name).failing_cells()
-    golden_diagnosis = _diagnose(golden, test, caps)
-
-    result = FaultResponseResult(
-        notation=format_test(test),
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        golden_events=len(golden.events),
-    )
-    for architecture in ARCHITECTURES:
-        if architecture not in architectures:
-            continue
-        response = ArchitectureResponse(architecture=architecture)
-        result.responses.append(response)
-        try:
-            stream = STREAM_BUILDERS[architecture](test, caps, compress)
+            stream = build_stream()
         except CompileError as error:
             response.status = "skipped"
             response.detail = f"outside the SM0-SM7 boundary: {error}"
             continue
-        except RuntimeError as error:
-            response.status = "error"
-            response.detail = f"simulation did not terminate: {error}"
-            continue
         except Exception as error:
             response.status = "error"
-            response.detail = (
-                f"controller crashed: {type(error).__name__}: {error}"
-            )
+            if march and isinstance(error, RuntimeError):
+                response.detail = f"simulation did not terminate: {error}"
+            else:
+                response.detail = (
+                    f"controller crashed: {type(error).__name__}: {error}"
+                )
             continue
         try:
             with injector.injected(fault) as memory:
-                capture = RESPONSE_CAPTURES[architecture](
-                    stream, memory, max_ops=budget
-                )
+                observed = partner_capture(stream, memory, max_ops=budget)
         except ResponseBudgetExceeded as error:
             response.status = "error"
-            response.detail = f"wedged BIST session: {error}"
+            response.detail = f"wedged {noun} session: {error}"
             continue
         except Exception as error:
             response.status = "error"
             response.detail = (
-                f"BIST session crashed: {type(error).__name__}: {error}"
+                f"{noun} session crashed: {type(error).__name__}: {error}"
             )
             continue
-        response.ops_applied = capture.ops_applied
-        response.event_count = len(capture.events)
-        response.failing_cells = capture.log(test.name).failing_cells()
-        response.diagnosis = _diagnose(capture, test, caps)
+        response.ops_applied = observed.ops_applied
+        response.event_count = len(observed.events)
+        response.failing_cells = observed.log(test.name).failing_cells()
+        if march:
+            response.diagnosis = _diagnose(observed, test, caps)
 
         divergence = first_fail_divergence(
-            golden.events, capture.events, architecture
+            golden.events, observed.events, name
         )
         if divergence is not None:
             response.status = "diverged"
@@ -661,6 +448,120 @@ def check_fault_conformance(
                 f"{golden_diagnosis}"
             )
     return result
+
+
+def check_fault_conformance(
+    test: MarchTest,
+    capabilities: ControllerCapabilities,
+    fault: CellFault,
+    architectures: Sequence[str] = ARCHITECTURES,
+    compress: bool = True,
+    max_ops: Optional[int] = None,
+    mode: str = "sequential",
+    infield_seed: int = 0,
+) -> FaultResponseResult:
+    """Differentially test the architectures' responses to ``fault``.
+
+    Args:
+        test: the march algorithm, or a
+            :class:`repro.prt.session.PrtSession` — pseudo-ring
+            sessions are compared against their FSM controller and a
+            replay instead of the march architectures (sequential mode
+            only).
+        capabilities: memory geometry all controllers target.
+        fault: the single fault injected for every run (state is reset
+            between runs by the injector).
+        architectures: subset of :data:`ARCHITECTURES` to compare
+            (sequential march tests only; validated in every regime).
+        compress: microcode REPEAT compression.
+        max_ops: per-run op budget; defaults to
+            :data:`DEFAULT_BUDGET_FACTOR` × the golden stream length.
+        mode: stimulus regime (see :data:`MODES`).  The non-sequential
+            regimes compare golden against an independent replay
+            instead of the controller architectures.
+        infield_seed: session seed for ``mode="infield"``.
+
+    Returns:
+        A :class:`FaultResponseResult`; ``.ok`` means every compared
+        architecture produced the golden fail events, fail-log
+        aggregations and diagnosis.
+    """
+    from repro.prt.session import PrtSession
+
+    caps = capabilities
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
+    unknown = set(architectures) - set(ARCHITECTURES)
+    if unknown:
+        raise ValueError(
+            f"unknown architecture(s) {sorted(unknown)}; "
+            f"known: {list(ARCHITECTURES)}"
+        )
+    prt = isinstance(test, PrtSession)
+    if prt and mode != "sequential":
+        raise ValueError(
+            f"PRT sessions are sequential stimuli; mode {mode!r} is "
+            "not realisable"
+        )
+    result = FaultResponseResult(
+        notation=stimulus_notation(test),
+        geometry=(caps.n_words, caps.width, caps.ports),
+        fault=fault.describe(),
+        fault_spec=format_fault(fault),
+        compress=compress,
+        mode=mode,
+    )
+    capture = capture_response
+    if prt:
+        from repro.prt.controller import PrtController
+
+        golden_stream = test.attributed_stream(caps)
+        partners: List[Partner] = [
+            ("prt-controller",
+             lambda: PrtController(test.config, caps).attributed_stream(),
+             capture, "BIST"),
+            ("replay", lambda: test.attributed_stream(caps), capture, "BIST"),
+        ]
+    elif mode == "sequential":
+        golden_stream = GOLDEN_CACHE.get(test, caps)
+        partners = [
+            (architecture,
+             functools.partial(
+                 STREAM_BUILDERS[architecture], test, caps, compress
+             ),
+             RESPONSE_CAPTURES[architecture], "BIST")
+            for architecture in ARCHITECTURES
+            if architecture in architectures
+        ]
+    else:
+        # No controller realises these regimes (the paper's port loops
+        # are sequential), so the partner is a second capture of the
+        # golden stream: any state leaking across the injector boundary
+        # or any non-determinism in the stimulus surfaces as a replay
+        # divergence.
+        if mode == "concurrent":
+            golden_stream = CONCURRENT_CACHE.get(test, caps)
+            capture = capture_cycle_response
+        else:
+            from repro.conformance.infield import cached_infield_plan
+
+            try:
+                plan = cached_infield_plan(
+                    caps, seed=infield_seed, tests=(test,)
+                )
+            except ValueError as error:
+                result.responses.append(ArchitectureResponse(
+                    architecture="replay",
+                    status="skipped",
+                    detail=f"no transparent variant: {error}",
+                ))
+                return result
+            golden_stream = plan.stream
+        partners = [("replay", lambda: golden_stream, capture, "replay")]
+    return _compare_responses(
+        result, test, caps, fault, golden_stream, capture, partners,
+        max_ops, march=not prt and mode == "sequential",
+    )
 
 
 def _first_failure_summary(failure: Dict[str, Any]) -> str:
@@ -978,7 +879,7 @@ def _run_sharded(
 ) -> FaultSweepReport:
     """Run shard work items through the service layer and merge.
 
-    The shared engine room of the scalar and vector sweeps.  ``work``
+    The execution half of :func:`_run_sweep`.  ``work``
     items are ``shard_fn`` argument tuples whose slots 0/4/5 are the
     shard index, start offset and run count (the existing worker-entry
     convention).  Behaviour by configuration:
@@ -1007,8 +908,6 @@ def _run_sharded(
     keys: List[Optional[Any]] = [None] * len(work)
     store_before = store.stats() if store is not None else None
     if store is not None:
-        if key_fields is None:
-            raise ValueError("a store needs key_fields to key shards by")
         for i, args in enumerate(work):
             keys[i] = store.key(
                 **key_fields, shard={"start": args[4], "count": args[5]}
@@ -1174,9 +1073,9 @@ def run_fault_sweep(
         compress: microcode REPEAT compression.
         max_ops: per-run op budget override.
         jobs: worker-process count; 1 runs inline (no pool).  The
-            (algorithm, fault) product is sharded into ``jobs``
-            contiguous chunks and the shard reports merged, so the
-            report — timing aside — is independent of ``jobs``.
+            (algorithm, fault) product is sharded into contiguous
+            chunks and the shard reports merged, so the report — timing
+            aside — is independent of ``jobs``.
         engine: ``scalar`` (per-run :class:`~repro.memory.sram.Sram`
             simulation, the oracle) or ``vector`` (the numpy batch
             kernel of :mod:`repro.vector`; needs numpy, falls back to
@@ -1206,8 +1105,6 @@ def run_fault_sweep(
         SweepInterrupted: SIGINT during a sharded run; carries the
             partial report (see the class docstring).
     """
-    if jobs <= 0:
-        raise ValueError(f"need at least one job, got {jobs}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {list(ENGINES)}")
     if mode not in MODES:
@@ -1223,35 +1120,83 @@ def run_fault_sweep(
             max_ops=max_ops, jobs=jobs, service=service, store=store,
             resume=resume, shard_timeout=shard_timeout, chaos=chaos,
         )
-    caps = capabilities
+    return _run_sweep(
+        _sweep_shard, "product", 4, tests, capabilities, faults,
+        compress=compress, max_ops=max_ops, jobs=jobs, mode=mode,
+        engine=engine, service=service, store=store, resume=resume,
+        shard_timeout=shard_timeout, chaos=chaos,
+    )
+
+
+def _run_sweep(
+    shard_fn: Callable[[Any], FaultSweepReport],
+    axis: str,
+    shards_per_worker: int,
+    tests: Sequence[MarchTest],
+    caps: ControllerCapabilities,
+    faults: Sequence[CellFault],
+    compress: bool,
+    max_ops: Optional[int],
+    jobs: int,
+    mode: str,
+    engine: str,
+    service: Optional[Any],
+    store: Optional[Any],
+    resume: bool,
+    shard_timeout: Optional[float],
+    chaos: Optional[Any],
+) -> FaultSweepReport:
+    """The serial-or-sharded sweep helper shared by both engines.
+
+    ``axis`` is what a shard is a contiguous chunk of: ``"product"``,
+    the algorithm-major (algorithm, fault) product the scalar oracle
+    (:func:`_sweep_shard`) walks, or ``"tests"``, whole tests — the
+    vector kernel's per-test batches.  Either way a work item is
+    ``(shard, tests, caps, faults, start, count, compress, max_ops,
+    mode)`` and shard reports merge in serial order.  A single worker
+    without service features runs one inline shard; anything else goes
+    through :func:`_run_sharded`, with ``shards_per_worker`` shards per
+    worker so a shard that drew the longest algorithms does not leave
+    the others idle, and store keys that carry ``axis`` and ``engine``
+    so the engines never share cache entries.  An ``engine`` other than
+    the shard function's own (``vector`` over product shards) is the
+    counted whole-sweep fallback: every run lands in ``fallback_runs``.
+    """
+    if jobs <= 0:
+        raise ValueError(f"need at least one job, got {jobs}")
     tests = list(tests)
     faults = list(faults)
-    total = len(tests) * len(faults)
+    geometry = (caps.n_words, caps.width, caps.ports)
+    shard_engine = "scalar" if axis == "product" else "vector"
+    units = len(tests) * len(faults) if axis == "product" else len(tests)
     started = time.perf_counter()
+
+    def finish(report: FaultSweepReport) -> FaultSweepReport:
+        if engine != shard_engine:
+            report.engine = engine
+            report.fallback_runs = report.checked
+        report.wall_time_s = time.perf_counter() - started
+        return report
+
     serviced = (
         service is not None or store is not None or chaos is not None
     )
-    if total == 0:
+    if not tests or not faults:
         report = FaultSweepReport(
-            geometry=(caps.n_words, caps.width, caps.ports), mode=mode
+            geometry=geometry, mode=mode, engine=shard_engine
         )
-    elif min(jobs, total) == 1 and not serviced:
-        report = _sweep_shard(
-            (0, tests, caps, faults, 0, total, compress, max_ops, mode)
+    elif min(jobs, units) == 1 and not serviced:
+        report = shard_fn(
+            (0, tests, caps, faults, 0, units, compress, max_ops, mode)
         )
     else:
-        jobs = min(jobs, total)
-        # Shard finer than the worker count: algorithms differ widely in
-        # stream length and the product is algorithm-major, so equal
-        # ``jobs``-sized chunks leave workers idle behind the chunk that
-        # drew the longest algorithms.  Merging by shard index keeps the
-        # report order (and bytes) independent of the shard count.
-        shards = min(total, max(jobs, 2) * 4)
-        chunk = (total + shards - 1) // shards
+        workers = min(jobs, units)
+        shards = min(units, max(workers, 2) * shards_per_worker)
+        chunk = (units + shards - 1) // shards
         work = [
             (shard, tests, caps, faults, start,
-             min(chunk, total - start), compress, max_ops, mode)
-            for shard, start in enumerate(range(0, total, chunk))
+             min(chunk, units - start), compress, max_ops, mode)
+            for shard, start in enumerate(range(0, units, chunk))
         ]
         key_fields = None
         if store is not None:
@@ -1259,11 +1204,11 @@ def run_fault_sweep(
 
             key_fields = {
                 "kind": "fault-sweep-shard",
-                "axis": "product",
+                "axis": axis,
                 "tests": payload_digest(
                     [stimulus_notation(t) for t in tests]
                 ),
-                "geometry": [caps.n_words, caps.width, caps.ports],
+                "geometry": list(geometry),
                 "faults": payload_digest(
                     [_fault_cache_key(f) for f in faults]
                 ),
@@ -1274,26 +1219,15 @@ def run_fault_sweep(
             }
         try:
             report = _run_sharded(
-                work, _sweep_shard,
-                (caps.n_words, caps.width, caps.ports), jobs, mode,
-                "scalar", key_fields=key_fields, service=service,
-                store=store, resume=resume, shard_timeout=shard_timeout,
-                chaos=chaos,
+                work, shard_fn, geometry, workers, mode, shard_engine,
+                key_fields=key_fields, service=service, store=store,
+                resume=resume, shard_timeout=shard_timeout, chaos=chaos,
             )
         except SweepInterrupted as interrupt:
-            if engine == "vector":
-                interrupt.report.engine = "vector"
-                interrupt.report.fallback_runs = interrupt.report.checked
-            interrupt.report.wall_time_s = time.perf_counter() - started
+            finish(interrupt.report)
             raise
-    if engine == "vector":
-        # Counted whole-sweep fallback: the caller asked for the vector
-        # engine but the regime has no lane semantics — never silently.
-        report.engine = "vector"
-        report.fallback_runs = report.checked
     report.jobs = jobs
-    report.wall_time_s = time.perf_counter() - started
-    return report
+    return finish(report)
 
 
 @dataclass

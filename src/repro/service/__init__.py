@@ -6,10 +6,8 @@ the same standard.  :mod:`~repro.service.engine` is the resilient
 worker pool (timeouts, bounded retry with deterministic backoff, crash
 quarantine, serial degradation), :mod:`~repro.service.store` the
 content-hashed result cache that makes sweeps resumable and reruns
-cheap, :mod:`~repro.service.chaos` the deterministic fault-injection
-harness for the service itself, and :mod:`~repro.service.session` the
-file-backed configure→start→poll→collect sessions behind
-``repro serve``.  See ``docs/SERVICE.md``.
+cheap, and :mod:`~repro.service.chaos` the deterministic
+fault-injection harness for the service itself.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.chaos import (
@@ -26,14 +24,6 @@ from repro.service.engine import (
     JobsInterrupted,
     RetryPolicy,
     ServiceError,
-)
-from repro.service.session import (
-    collect_session,
-    list_sessions,
-    run_session,
-    session_id,
-    session_status,
-    submit_session,
 )
 from repro.service.store import (
     ResultStore,
@@ -58,12 +48,6 @@ __all__ = [
     "StoreKey",
     "canonical_json",
     "code_version",
-    "collect_session",
     "corrupt_store_entry",
-    "list_sessions",
     "payload_digest",
-    "run_session",
-    "session_id",
-    "session_status",
-    "submit_session",
 ]

@@ -22,7 +22,6 @@ either the complete previous entry or no entry — both safe.
 Layout under the store root::
 
     entries/<digest[:2]>/<digest>.json    one entry per key
-    sessions/<session-id>/                ``repro serve`` sessions
 """
 
 from __future__ import annotations

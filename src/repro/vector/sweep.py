@@ -43,8 +43,7 @@ from repro.conformance.faulty import events as faulty_events
 from repro.conformance.faulty.check import (
     DEFAULT_BUDGET_FACTOR,
     FaultSweepReport,
-    _fault_cache_key,
-    _run_sharded,
+    _run_sweep,
     check_fault_conformance,
 )
 from repro.conformance.faulty.events import (
@@ -205,17 +204,19 @@ def _sweep_test_into(
 
 def _vector_shard(
     args: Tuple[int, Sequence[MarchTest], ControllerCapabilities,
-                Sequence[CellFault], int, int, bool, Optional[int]]
+                Sequence[CellFault], int, int, bool, Optional[int], str]
 ) -> FaultSweepReport:
     """Worker entry point: sweep tests ``start..start+count-1``.
 
     Vector batches are per-test, so shards are contiguous *test* chunks
     (unlike the scalar engine's product chunks); the product order
     inside each shard is still algorithm-major, so merged reports match
-    the serial sweep byte for byte.
+    the serial sweep byte for byte.  The vector engine runs sequential
+    march stimuli only, so the trailing mode slot is always
+    ``sequential``.
     """
     (shard_index, tests, caps, faults, start, count, compress,
-     max_ops) = args
+     max_ops, _mode) = args
     started = time.perf_counter()
     report = FaultSweepReport(
         geometry=(caps.n_words, caps.width, caps.ports), engine="vector"
@@ -248,79 +249,25 @@ def run_vector_fault_sweep(
 ) -> FaultSweepReport:
     """Vector-engine counterpart of ``run_fault_sweep`` (same report).
 
-    Sharding is by contiguous test chunks — each test is one batch
-    evaluation, so splitting inside a test would only re-replay the
-    stream.  Reports merge in shard order; the payload (timing aside)
-    is independent of ``jobs`` and equal to the scalar engine's.  The
-    service knobs (shared engine, result store, resume, per-shard
-    timeout, chaos plan) have ``run_fault_sweep``'s semantics; store
-    keys carry ``axis="tests"`` and ``engine="vector"``, so vector
-    shards never collide with the scalar engine's product shards.
+    Runs through the shared sharding helper of ``run_fault_sweep`` with
+    contiguous *test* shards — each test is one batch evaluation, so
+    splitting inside a test would only re-replay the stream.  The
+    payload (timing aside) is independent of ``jobs`` and equal to the
+    scalar engine's; the service knobs have ``run_fault_sweep``'s
+    semantics, and store keys carry ``axis="tests"`` and
+    ``engine="vector"``, so vector shards never collide with the scalar
+    engine's product shards.
 
     Raises:
         SweepInterrupted: SIGINT during a sharded run; carries the
             partial report.
     """
-    from repro.conformance.faulty.check import SweepInterrupted
-
-    caps = capabilities
-    tests = list(tests)
-    faults = list(faults)
-    started = time.perf_counter()
-    serviced = (
-        service is not None or store is not None or chaos is not None
+    return _run_sweep(
+        _vector_shard, "tests", 2, tests, capabilities, faults,
+        compress=compress, max_ops=max_ops, jobs=jobs, mode="sequential",
+        engine="vector", service=service, store=store, resume=resume,
+        shard_timeout=shard_timeout, chaos=chaos,
     )
-    if not tests or not faults:
-        report = FaultSweepReport(
-            geometry=(caps.n_words, caps.width, caps.ports), engine="vector"
-        )
-    elif min(jobs, len(tests)) == 1 and not serviced:
-        report = _vector_shard(
-            (0, tests, caps, faults, 0, len(tests), compress, max_ops)
-        )
-    else:
-        workers = max(1, min(jobs, len(tests)))
-        shards = min(len(tests), max(workers, 2) * 2)
-        chunk = (len(tests) + shards - 1) // shards
-        work = [
-            (shard, tests, caps, faults, start,
-             min(chunk, len(tests) - start), compress, max_ops)
-            for shard, start in enumerate(range(0, len(tests), chunk))
-        ]
-        key_fields = None
-        if store is not None:
-            from repro.conformance.trace import stimulus_notation
-            from repro.service.store import payload_digest
-
-            key_fields = {
-                "kind": "fault-sweep-shard",
-                "axis": "tests",
-                "tests": payload_digest(
-                    [stimulus_notation(t) for t in tests]
-                ),
-                "geometry": [caps.n_words, caps.width, caps.ports],
-                "faults": payload_digest(
-                    [_fault_cache_key(f) for f in faults]
-                ),
-                "compress": compress,
-                "max_ops": max_ops,
-                "mode": "sequential",
-                "engine": "vector",
-            }
-        try:
-            report = _run_sharded(
-                work, _vector_shard,
-                (caps.n_words, caps.width, caps.ports), workers,
-                "sequential", "vector", key_fields=key_fields,
-                service=service, store=store, resume=resume,
-                shard_timeout=shard_timeout, chaos=chaos,
-            )
-        except SweepInterrupted as interrupt:
-            interrupt.report.wall_time_s = time.perf_counter() - started
-            raise
-    report.jobs = jobs
-    report.wall_time_s = time.perf_counter() - started
-    return report
 
 
 def vector_capture(

@@ -39,6 +39,7 @@ from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import standard_universe
 from repro.march import library
 from repro.memory.sram import Sram
+from repro.prt import PRT_RING_UP
 
 CAPS = ControllerCapabilities(n_words=4, width=2, ports=1)
 
@@ -133,13 +134,20 @@ class TestCheckFaultConformance:
         assert "SM0-SM7" in progfsm.detail
 
     def test_unknown_architecture_rejected(self):
-        with pytest.raises(ValueError, match="unknown architecture"):
-            check_fault_conformance(
-                library.get("MATS"),
-                CAPS,
-                parse_fault("saf:0:0:1"),
-                architectures=["microcode", "risc-v"],
-            )
+        for stimulus, mode in (
+            (library.get("MATS"), "sequential"),
+            (library.get("MATS"), "concurrent"),
+            (library.get("MATS"), "infield"),
+            (PRT_RING_UP, "sequential"),
+        ):
+            with pytest.raises(ValueError, match="unknown architecture"):
+                check_fault_conformance(
+                    stimulus,
+                    CAPS,
+                    parse_fault("saf:0:0:1"),
+                    architectures=["microcode", "risc-v"],
+                    mode=mode,
+                )
 
     def test_wedged_session_is_error_not_mismatch(self, monkeypatch):
         def wedged(stream, memory, max_ops=None):
@@ -529,11 +537,19 @@ class TestParallelSweep:
 
     def test_non_positive_jobs_rejected(self):
         caps = ControllerCapabilities(n_words=2, width=1, ports=1)
-        with pytest.raises(ValueError, match="at least one job"):
-            run_fault_sweep(
-                [library.get("MATS")], caps, [parse_fault("saf:0:0:1")],
-                jobs=0,
-            )
+        sweeps = [run_fault_sweep]
+        try:
+            from repro.vector.sweep import run_vector_fault_sweep
+        except ImportError:  # no numpy: the vector engine is absent
+            pass
+        else:
+            sweeps.append(run_vector_fault_sweep)
+        for sweep in sweeps:
+            with pytest.raises(ValueError, match="at least one job"):
+                sweep(
+                    [library.get("MATS")], caps,
+                    [parse_fault("saf:0:0:1")], jobs=0,
+                )
 
     def test_failure_lines_carry_geometry_and_layer(self, monkeypatch):
         monkeypatch.setitem(

@@ -24,12 +24,7 @@ from repro.march import library
 from repro.service import (
     ChaosPlan,
     ResultStore,
-    collect_session,
     corrupt_store_entry,
-    list_sessions,
-    run_session,
-    session_status,
-    submit_session,
 )
 
 CAPS = ControllerCapabilities(n_words=8, width=2, ports=1)
@@ -325,46 +320,3 @@ class TestVectorEngineService:
         assert sans_timing(chaotic.to_json()) == sans_timing(
             serial.to_json()
         )
-
-
-class TestSessions:
-    def test_submit_run_collect_lifecycle(self, tmp_path):
-        root = tmp_path / "svc"
-        sid = submit_session(
-            root,
-            {
-                "algorithms": ["MATS+", "March C"],
-                "geometries": [[8, 2, 1]],
-                "per_kind": 1,
-                "seed": 3,
-            },
-        )
-        assert session_status(root, sid)["state"] == "submitted"
-
-        payload = run_session(root, sid)
-        assert payload["ok"] is True
-        assert session_status(root, sid)["state"] == "complete"
-
-        collected = collect_session(root, sid)
-        assert collected["ok"] is True
-        assert [s["session"] for s in list_sessions(root)] == [sid]
-
-    def test_session_id_is_content_addressed(self, tmp_path):
-        spec = {"algorithms": ["March C"], "per_kind": 1}
-        first = submit_session(tmp_path / "a", spec)
-        second = submit_session(tmp_path / "b", dict(spec))
-        assert first == second
-
-    def test_rerun_hits_session_store(self, tmp_path):
-        root = tmp_path / "svc"
-        sid = submit_session(
-            root,
-            {"algorithms": ["MATS+"], "per_kind": 1, "seed": 1},
-        )
-        run_session(root, sid)
-        again = run_session(root, sid)
-        assert again["ok"] is True
-        # Sessions always run store-backed + resume: the second run is
-        # answered from cache.
-        stats = again["geometries"][0]["timing"]["service"]["store"]
-        assert stats["hits"] >= 1

@@ -1,5 +1,6 @@
 """Unit tests for the resilient job engine (`repro.service.engine`)."""
 
+import fcntl
 import os
 import signal
 import time
@@ -39,6 +40,53 @@ def _raise_until_attempt(path):
 
 def _kill_self(_x):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _kill_self_holding(lock_path):
+    """SIGKILL this worker while holding an exclusive ``flock``."""
+    handle = open(lock_path, "a")  # left open: the kill releases the lock
+    fcntl.flock(handle, fcntl.LOCK_EX)
+    with open(lock_path + ".held", "w") as held:
+        held.write(str(os.getpid()))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exited(pid):
+    """Whether ``pid`` is a zombie or gone (Linux ``/proc``; else True).
+
+    A dying process drops its locks and pipes a moment before it turns
+    into a zombie, and only then does its parent see it as dead.
+    """
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except OSError:
+        return True
+
+
+def _double_after_killer_died(args):
+    """``_double`` that cannot finish before the lock holder has exited.
+
+    The kernel drops a ``flock`` when its holder exits, so taking the
+    lock proves the ``_kill_self_holding`` worker is exiting; on Linux
+    the wait then runs until it is a zombie, the state in which the
+    engine sees it dead.  Every wait is bounded so a broken schedule
+    fails the test instead of hanging it.
+    """
+    lock_path, x = args
+    deadline = time.monotonic() + 30
+    while (
+        not os.path.exists(lock_path + ".held")
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.01)
+    with open(lock_path, "a") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+    with open(lock_path + ".held") as held:
+        pid = int(held.read())
+    while not _exited(pid) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return x * 2
 
 
 def _sleep(seconds):
@@ -148,10 +196,18 @@ class TestCrashes:
         for i in range(4):
             assert report.outcome(f"ok{i}").value == i * 2
 
-    def test_pool_rebuild_counted(self):
-        jobs = [Job(key="killer", fn=_kill_self, payload=None)] + [
-            Job(key=f"ok{i}", fn=_double, payload=i) for i in range(3)
-        ]
+    def test_pool_rebuild_counted(self, tmp_path):
+        # The waiter holds the surviving worker until the killer's worker
+        # is dead, so ok1 and ok2 are still queued when the crash is
+        # reaped: the engine must respawn a worker to run them.  (With
+        # plain ``_double`` jobs the survivor could drain the queue first,
+        # leaving nothing outstanding and nothing to rebuild.)
+        lock = str(tmp_path / "killer.lock")
+        jobs = [
+            Job(key="killer", fn=_kill_self_holding, payload=lock),
+            Job(key="waiter", fn=_double_after_killer_died,
+                payload=(lock, 0)),
+        ] + [Job(key=f"ok{i}", fn=_double, payload=i) for i in (1, 2)]
         with JobEngine(
             workers=2, policy=_quick_policy(max_crashes=0)
         ) as engine:
