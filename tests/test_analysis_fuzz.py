@@ -21,6 +21,63 @@ from repro.analysis.fuzz import (
 )
 from repro.march.element import MarchElement, Pause
 from repro.march.test import MarchTest
+from repro.vector import HAVE_NUMPY
+
+#: ``run_fuzz(12, seed=0, jobs=1).to_json()``, pinned whole: identity
+#: order, counter names and key order are the report's contract with
+#: the perfbench digest and ``conformance record --from-report``.
+PINNED_REPORT = {
+    "samples": 12,
+    "seed": 0,
+    "checked": 12,
+    "fsm_compiled": 4,
+    "fsm_compiled_fraction": 0.3333,
+    "fault_detected": 12,
+    "vector_checked": 12 if HAVE_NUMPY else 0,
+    "coverage_pairs": 332,
+    "infield_checked": 12,
+    "service_checked": 12,
+    "prt_checked": 12,
+    "mismatch_count": 0,
+    "mismatches": [],
+}
+
+#: The first mismatch entry of the same corpus with the hardwired
+#: architecture's fail log shifted by one op.
+PINNED_DEFECT_ENTRY = {
+    "index": 0,
+    "sample_seed": "0:0",
+    "notation": "^(r0,w0,r0); ^(r0,w1,w0,w1); Del(128); ~(w1)",
+    "geometry": [9, 4, 1],
+    "compress": True,
+    "microcode_cycles": 223,
+    "fsm_compiled": False,
+    "fsm_cycles": None,
+    "mismatches": [
+        "fault-response divergence under drf:1:3:1: hardwired fail log "
+        "diverges from the golden response at event 0 (mismatch):\n"
+        "  expected op 73: p0 r@0 expected a observed f  "
+        "<- item 0 ^(r0,w0,r0) op 0\n"
+        "  got      op 74: p0 r@0 expected a observed f  "
+        "<- hardwired state 1 (op r0)"
+    ],
+    "shrunk": None,
+    "fault_spec": "drf:1:3:1",
+    "fault_detected": True,
+    "shrunk_faulty": {
+        "notation": "^(r0)",
+        "geometry": [1, 2, 1],
+        "fault": "saf:0:0:0",
+        "checks": 11,
+        "reduced": True,
+    },
+    "vector_checked": HAVE_NUMPY,
+    "coverage_pairs": 28,
+    "shrunk_coverage": None,
+    "infield_checked": True,
+    "service_checked": True,
+    "prt_checked": True,
+}
 
 
 class TestGenerator:
@@ -70,6 +127,11 @@ class TestRunFuzz:
         assert report.ok
         assert report.checked == 40
         assert report.fsm_compiled > 0  # the SM bias pays off
+
+    def test_payload_is_pinned(self):
+        payload = run_fuzz(12, seed=0, jobs=1).to_json()
+        assert payload == PINNED_REPORT
+        assert list(payload) == list(PINNED_REPORT)
 
     def test_report_is_independent_of_jobs(self):
         serial = run_fuzz(24, seed=3, jobs=1)
@@ -162,6 +224,8 @@ class TestFaultIdentity:
         assert shrunk is not None
         assert shrunk["fault"]
         assert "shrunk faulty reproducer" in report.format()
+        assert entry == PINNED_DEFECT_ENTRY
+        assert list(entry) == list(PINNED_DEFECT_ENTRY)
 
 
 class TestProperty:
