@@ -68,6 +68,10 @@ geometries and, for every sample, checks these identities:
     equal the session's predicted MISR signature.  Like (h), this is
     march-independent — it pins the non-march stimulus family.
 
+(a)–(c) always run; the optional identities live in one ordered
+table, :data:`IDENTITIES`, and ``skip`` (``repro fuzz --skip``) names
+the letters to leave out.
+
 Any violation — including the verifier *rejecting* a well-formed
 algorithm, the false-positive direction — is a mismatch.  The
 ``repro fuzz`` CLI subcommand batch-parallelises the corpus over the
@@ -85,7 +89,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import assemble
@@ -191,14 +204,14 @@ class SampleResult:
         shrunk: minimal reproducer of a behavioural divergence
             (notation/geometry/checks), or None when identity (d) held.
         fault_spec: the fault injected for identity (e), as a
-            :mod:`repro.faults.spec` string (None when (e) was off).
+            :mod:`repro.faults.spec` string (None when (e) was skipped).
         fault_detected: whether the golden response saw the fault.
         shrunk_faulty: minimal (march, geometry, fault) reproducer of a
             response divergence, or None when identity (e) held.
         vector_checked: whether identity (g) ran (requires numpy and
-            ``vector_conformance=True``).
+            identity (e)).
         coverage_pairs: certificate-vs-sweep fault pairs cross-checked
-            for identity (f) (0 when (f) was off).
+            for identity (f) (0 when (f) was skipped).
         shrunk_coverage: minimal (march, geometry, fault) reproducer of
             a certificate-vs-sweep disagreement, or None when identity
             (f) held.
@@ -258,32 +271,39 @@ class SampleResult:
         }
 
 
+@dataclass
+class _Sample:
+    """One generated sample as the optional identities see it."""
+
+    test: MarchTest
+    caps: ControllerCapabilities
+    compress: bool
+    rng: random.Random
+    #: Identity (e)'s fault and golden-vs-architectures response, which
+    #: identity (g) reuses as its scalar side.
+    fault: Any = None
+    response: Any = None
+
+
 def check_sample(
-    seed: int,
-    index: int,
-    conformance: bool = True,
-    fault_conformance: bool = True,
-    coverage_conformance: bool = True,
-    vector_conformance: bool = True,
-    infield_conformance: bool = True,
-    service_conformance: bool = True,
-    prt_conformance: bool = True,
+    seed: int, index: int, skip: Iterable[str] = ()
 ) -> SampleResult:
-    """Generate sample ``index`` of corpus ``seed`` and check all ten
-    verifier-vs-simulator identities on it (``conformance=False`` skips
-    the behavioural-equivalence identity (d); ``fault_conformance=False``
-    skips the faulty-memory response identity (e) — and with it the
-    sweep-engine identity (g), which reuses (e)'s response;
-    ``coverage_conformance=False`` skips the coverage-certificate
-    identity (f); ``vector_conformance=False`` skips (g) alone;
-    ``infield_conformance=False`` skips the in-field session identity
-    (h); ``service_conformance=False`` skips the resumed-sweep identity
-    (i); ``prt_conformance=False`` skips the pseudo-ring determinism
-    identity (j))."""
+    """Generate sample ``index`` of corpus ``seed`` and check the
+    verifier-vs-simulator identities on it.
+
+    (a)–(c) always run; ``skip`` names optional identities (letters of
+    :data:`IDENTITIES`) to leave out.  Skipping (e) leaves (g) nothing
+    to check, since (g) reuses (e)'s response.
+
+    Raises:
+        ValueError: ``skip`` names a letter that is not a key of
+            :data:`IDENTITIES`.
+    """
     from repro.analysis.interpreter import Verdict, interpret
     from repro.analysis.progfsm_cfg import interpret_fsm
     from repro.analysis.verifier import verify_fsm_program, verify_program
 
+    skipped = _skipped(skip)
     sample_seed = f"{seed}:{index}"
     rng = random.Random(sample_seed)
     test = random_march(rng)
@@ -371,53 +391,19 @@ def check_sample(
                         f"{fsm_interp.cycles}, simulated {traced}"
                     )
 
-    # -- (d), op-for-op behavioural equivalence ----------------------------
-    if conformance:
-        _check_conformance_identity(result, test, caps, compress)
-
-    # -- (e)+(g), fault-response and sweep-engine equivalence --------------
-    # The fault is drawn from the sample's own RNG *after* the structural
-    # draws above, so "{seed}:{index}" alone regenerates the whole triple.
-    if fault_conformance:
-        _check_fault_identity(
-            result, test, caps, compress, rng, vector=vector_conformance
-        )
-
-    # -- (f), coverage-certificate equivalence -----------------------------
-    if coverage_conformance:
-        _check_coverage_identity(result, test, caps, index)
-
-    # -- (h), in-field session identity ------------------------------------
-    # Drawn from a derived RNG so the session is deterministic in the
-    # sample seed regardless of which other identities are enabled.
-    if infield_conformance:
-        _check_infield_identity(
-            result, caps, random.Random(f"{sample_seed}:infield")
-        )
-
-    # -- (i), interrupted-then-resumed sweep identity ----------------------
-    # Also from a derived RNG, for the same reason.
-    if service_conformance:
-        _check_service_identity(
-            result, test, caps, compress,
-            random.Random(f"{sample_seed}:service"),
-        )
-
-    # -- (j), pseudo-ring determinism --------------------------------------
-    # March-independent like (h); the config comes from a derived RNG.
-    if prt_conformance:
-        _check_prt_identity(
-            result, caps, random.Random(f"{sample_seed}:prt")
-        )
+    # -- (d)-(j), the optional identities, in table order ------------------
+    # Only (e) draws from the sample RNG, *after* the structural draws
+    # above, so "{seed}:{index}" alone regenerates the whole triple; (h),
+    # (i) and (j) use RNGs derived from the sample seed, so each is
+    # deterministic regardless of which other identities run.
+    sample = _Sample(test=test, caps=caps, compress=compress, rng=rng)
+    for letter, (_, check) in IDENTITIES.items():
+        if letter not in skipped:
+            check(result, sample)
     return result
 
 
-def _check_conformance_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
-) -> None:
+def _check_conformance_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (d): all realising architectures emit the golden stream.
 
     On divergence the sample is delta-debugged immediately (in the
@@ -430,44 +416,33 @@ def _check_conformance_identity(
         shrink_sample,
     )
 
-    conf = check_conformance(test, caps, compress=compress)
+    conf = check_conformance(
+        sample.test, sample.caps, compress=sample.compress
+    )
     if conf.ok:
         return
     result.mismatches.append(
         "behavioural divergence: " + conf.describe_failures()
     )
     shrunk = shrink_sample(
-        test,
-        caps,
-        conformance_predicate(compress=compress),
+        sample.test,
+        sample.caps,
+        conformance_predicate(compress=sample.compress),
         max_checks=500,
     )
     result.shrunk = shrunk.to_dict()
 
 
-def _check_fault_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
-    rng: random.Random,
-    vector: bool = True,
-) -> None:
-    """Identities (e) and (g): one injected fault, every engine agrees.
+def _check_fault_identity(result: SampleResult, sample: _Sample) -> None:
+    """Identity (e): one injected fault, every architecture agrees.
 
     Draws a single spec-expressible fault from the sample RNG, runs all
     realising architectures' BIST sessions against it and compares fail
     events, fail logs and diagnosis against the golden response.  A
     divergence (or a wedged/crashed session) is delta-debugged over
     march items, operations, the fault and the geometry; the minimal
-    triple rides in the report.
-
-    When numpy is available (and ``vector`` is on), the scalar response
-    doubles as the oracle for identity (g): it is wrapped into a
-    one-run :class:`~repro.conformance.faulty.FaultSweepReport` and the
-    vector engine must reproduce that report payload — timing aside —
-    from scratch.  No extra scalar run is spent; the (e) result is
-    reused.
+    triple rides in the report.  The fault and response stay on
+    ``sample`` for identity (g).
     """
     from repro.conformance import (
         check_fault_conformance,
@@ -477,9 +452,11 @@ def _check_fault_identity(
     )
     from repro.faults.spec import format_fault
 
-    fault = random_fault(rng, caps)
+    fault = sample.fault = random_fault(sample.rng, sample.caps)
     result.fault_spec = format_fault(fault)
-    response = check_fault_conformance(test, caps, fault, compress=compress)
+    response = sample.response = check_fault_conformance(
+        sample.test, sample.caps, fault, compress=sample.compress
+    )
     result.fault_detected = response.detected
     if not response.ok:
         result.mismatches.append(
@@ -487,25 +464,16 @@ def _check_fault_identity(
             f"{result.fault_spec}: {response.describe_failures()}"
         )
         shrunk = shrink_faulty_sample(
-            test,
-            caps,
+            sample.test,
+            sample.caps,
             result.fault_spec,
-            fault_response_predicate(compress=compress),
+            fault_response_predicate(compress=sample.compress),
             max_checks=500,
         )
         result.shrunk_faulty = shrunk.to_dict()
-    if vector:
-        _check_vector_identity(result, test, caps, fault, compress, response)
 
 
-def _check_vector_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    fault,
-    compress: bool,
-    response,
-) -> None:
+def _check_vector_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (g): the batch kernel reproduces the scalar sweep report.
 
     The scalar side costs nothing — identity (e)'s response is folded
@@ -515,11 +483,12 @@ def _check_vector_identity(
     ``--cross-engine`` sweeps exercise.  Divergences are reported with
     the first differing payload field; the "{seed}:{index}" sample seed
     is already a minimal-enough reproducer (one algorithm, one fault),
-    so no shrink pass is run.
+    so no shrink pass is run.  Nothing runs without numpy or when (e)
+    was skipped.
     """
     from repro.vector import HAVE_NUMPY
 
-    if not HAVE_NUMPY:
+    if not HAVE_NUMPY or sample.response is None:
         return
     from repro.conformance.faulty import (
         CrossEngineResult,
@@ -527,12 +496,14 @@ def _check_vector_identity(
         run_fault_sweep,
     )
 
+    caps = sample.caps
     scalar = FaultSweepReport(
         geometry=(caps.n_words, caps.width, caps.ports)
     )
-    scalar.add(response)
+    scalar.add(sample.response)
     vector = run_fault_sweep(
-        [test], caps, [fault], compress=compress, engine="vector"
+        [sample.test], caps, [sample.fault], compress=sample.compress,
+        engine="vector",
     )
     result.vector_checked = True
     cross = CrossEngineResult(scalar=scalar, vector=vector)
@@ -543,12 +514,7 @@ def _check_vector_identity(
         )
 
 
-def _check_coverage_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    index: int,
-) -> None:
+def _check_coverage_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (f): the static coverage prover agrees with simulation.
 
     Certifies the sample against a stratified spec-expressible fault
@@ -565,9 +531,10 @@ def _check_coverage_identity(
         coverage_disagreement_predicate,
     )
 
-    faults = sweep_faults(caps, per_kind=2, seed=index)
+    faults = sweep_faults(sample.caps, per_kind=2, seed=result.index)
     check = check_coverage_conformance(
-        tests=[test], geometry=caps, faults=faults, universe_name="sample"
+        tests=[sample.test], geometry=sample.caps, faults=faults,
+        universe_name="sample",
     )
     result.coverage_pairs = check.checked
     if check.ok:
@@ -576,8 +543,8 @@ def _check_coverage_identity(
     result.mismatches.append("coverage divergence: " + first.describe())
     if first.spec is not None:
         shrunk = shrink_faulty_sample(
-            test,
-            caps,
+            sample.test,
+            sample.caps,
             first.spec,
             coverage_disagreement_predicate(),
             max_checks=500,
@@ -585,11 +552,7 @@ def _check_coverage_identity(
         result.shrunk_coverage = shrunk.to_dict()
 
 
-def _check_infield_identity(
-    result: SampleResult,
-    caps: ControllerCapabilities,
-    rng: random.Random,
-) -> None:
+def _check_infield_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (h): the in-field scheduler preserves data and detects.
 
     Builds the deterministic in-field plan for the sample's geometry
@@ -607,6 +570,8 @@ def _check_infield_identity(
     from repro.faults.spec import parse_fault
     from repro.memory.sram import Sram
 
+    caps = sample.caps
+    rng = random.Random(f"{result.sample_seed}:infield")
     plan = build_infield_plan(caps, seed=rng.randrange(2**16))
 
     clean = run_infield_session(
@@ -647,13 +612,7 @@ def _check_infield_identity(
     result.infield_checked = True
 
 
-def _check_service_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
-    rng: random.Random,
-) -> None:
+def _check_service_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (i): a resumed sweep equals the uninterrupted sweep.
 
     Runs the sample's algorithm against a few random faults three ways:
@@ -673,6 +632,8 @@ def _check_service_identity(
     from repro.conformance.faulty.sampling import random_fault
     from repro.service import ChaosPlan, ResultStore
 
+    test, caps, compress = sample.test, sample.caps, sample.compress
+    rng = random.Random(f"{result.sample_seed}:service")
     faults = [random_fault(rng, caps) for _ in range(3)]
     baseline = run_fault_sweep(
         [test], caps, faults, compress=compress
@@ -721,11 +682,7 @@ def _check_service_identity(
     result.service_checked = True
 
 
-def _check_prt_identity(
-    result: SampleResult,
-    caps: ControllerCapabilities,
-    rng: random.Random,
-) -> None:
+def _check_prt_identity(result: SampleResult, sample: _Sample) -> None:
     """Identity (j): PRT sessions are deterministic and the controller
     realises them.
 
@@ -740,6 +697,8 @@ def _check_prt_identity(
     """
     from repro.prt import PrtConfig, PrtController, PrtSession
 
+    caps = sample.caps
+    rng = random.Random(f"{result.sample_seed}:prt")
     config = PrtConfig(
         passes=rng.randint(1, 5),
         seed=rng.randrange(1, 1 << 16),
@@ -779,6 +738,49 @@ def _check_prt_identity(
             f"{controller.signature}, session predicts {predicted}"
         )
     result.prt_checked = True
+
+
+#: The optional identities in execution order — which is also each
+#: sample's mismatch order: ``letter -> (name, check)``.  (a)–(c) are
+#: not listed; they always run.
+IDENTITIES: Dict[str, Tuple[str, Callable[..., None]]] = {
+    "d": ("behavioural equivalence", _check_conformance_identity),
+    "e": ("fault-response equivalence", _check_fault_identity),
+    "g": ("sweep-engine equivalence", _check_vector_identity),
+    "f": ("coverage certificate", _check_coverage_identity),
+    "h": ("in-field session", _check_infield_identity),
+    "i": ("resumed sweep", _check_service_identity),
+    "j": ("pseudo-ring determinism", _check_prt_identity),
+}
+
+#: The per-sample counters a :class:`FuzzReport` sums (a true flag
+#: counts 1).
+_COUNTERS = (
+    "fsm_compiled",
+    "fault_detected",
+    "vector_checked",
+    "coverage_pairs",
+    "infield_checked",
+    "service_checked",
+    "prt_checked",
+)
+
+
+def _skipped(skip: Iterable[str]) -> str:
+    """The ``skip`` letters as a sorted string, all of them checked
+    against :data:`IDENTITIES`."""
+    letters = set(skip)
+    unknown = sorted(letters - IDENTITIES.keys())
+    if unknown:
+        raise ValueError(
+            f"cannot skip identity {', '.join(unknown)}: the skippable "
+            "identities are "
+            + ", ".join(
+                f"{letter} ({IDENTITIES[letter][0]})"
+                for letter in sorted(IDENTITIES)
+            )
+        )
+    return "".join(sorted(letters))
 
 
 @dataclass
@@ -880,38 +882,21 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _check_batch(
-    args: Tuple[int, int, int, bool, bool, bool, bool, bool, bool, bool]
-) -> List[Dict[str, Any]]:
+def _check_batch(args: Tuple[int, int, int, str]) -> List[Dict[str, Any]]:
     """Worker entry point: check samples ``start..start+count-1``.
 
-    Returns compact per-sample dicts (full detail only for mismatches)
-    to keep the inter-process payload small.
+    ``args`` is ``(seed, start, count, skip)``.  Returns compact
+    per-sample dicts (full detail only for mismatches) to keep the
+    inter-process payload small.
     """
-    (seed, start, count, conformance, fault_conformance, coverage,
-     vector, infield, service, prt) = args
+    seed, start, count, skip = args
     out: List[Dict[str, Any]] = []
     for index in range(start, start + count):
-        result = check_sample(
-            seed,
-            index,
-            conformance=conformance,
-            fault_conformance=fault_conformance,
-            coverage_conformance=coverage,
-            vector_conformance=vector,
-            infield_conformance=infield,
-            service_conformance=service,
-            prt_conformance=prt,
-        )
+        result = check_sample(seed, index, skip=skip)
         if result.ok:
-            out.append({"index": index, "ok": True,
-                        "fsm_compiled": result.fsm_compiled,
-                        "fault_detected": result.fault_detected,
-                        "vector_checked": result.vector_checked,
-                        "coverage_pairs": result.coverage_pairs,
-                        "infield_checked": result.infield_checked,
-                        "service_checked": result.service_checked,
-                        "prt_checked": result.prt_checked})
+            entry = {"index": index, "ok": True}
+            entry.update((name, getattr(result, name)) for name in _COUNTERS)
+            out.append(entry)
         else:
             payload = result.to_dict()
             payload["ok"] = False
@@ -920,10 +905,15 @@ def _check_batch(
 
 
 def _lost_batch_entry(start: int, count: int, error: str) -> Dict[str, Any]:
-    """A synthetic mismatch entry for a batch the service lost."""
+    """A synthetic mismatch entry for a batch the service lost.
+
+    ``lost`` keeps the entry out of the ``checked`` count — none of the
+    batch's samples was checked — and off the report entry.
+    """
     return {
         "index": start,
         "ok": False,
+        "lost": True,
         "sample_seed": f"<batch {start}..{start + count - 1}>",
         "notation": "<service>",
         "geometry": [0, 0, 0],
@@ -935,13 +925,7 @@ def run_fuzz(
     samples: int,
     seed: int = 0,
     jobs: int = 1,
-    conformance: bool = True,
-    fault_conformance: bool = True,
-    coverage_conformance: bool = True,
-    vector_conformance: bool = True,
-    infield_conformance: bool = True,
-    service_conformance: bool = True,
-    prt_conformance: bool = True,
+    skip: Iterable[str] = (),
     shard_timeout: Optional[float] = None,
 ) -> FuzzReport:
     """Run the corpus and aggregate a :class:`FuzzReport`.
@@ -955,27 +939,14 @@ def run_fuzz(
             crashed worker no longer discards the completed batches,
             and batches that failed without crash/timeout history are
             retried serially.
-        conformance: check identity (d), op-for-op behavioural
-            equivalence across all architectures (on by default).
-        fault_conformance: check identity (e), response equivalence on
-            a faulty memory (on by default).
-        coverage_conformance: check identity (f), coverage-certificate
-            vs simulated-sweep agreement (on by default).
-        vector_conformance: check identity (g), scalar-vs-vector sweep
-            report equality on identity (e)'s sample (on by default;
-            no-op without numpy or with ``fault_conformance=False``).
-        infield_conformance: check identity (h), the fault-free and
-            mid-stream-injection in-field session pair (on by default).
-        service_conformance: check identity (i), the interrupted-then-
-            resumed sweep vs the uninterrupted serial sweep (on by
-            default).
-        prt_conformance: check identity (j), pseudo-ring session
-            determinism and controller/session agreement (on by
-            default).
+        skip: letters of :data:`IDENTITIES` to leave out (default:
+            none; every identity runs).
         shard_timeout: per-batch wall-clock budget (seconds), enforced
             by the engine when ``jobs > 1``.
 
     Raises:
+        ValueError: ``samples`` or ``jobs`` is below one, or ``skip``
+            names a letter that is not a key of :data:`IDENTITIES`.
         SweepInterrupted: SIGINT mid-corpus; carries the partial
             :class:`FuzzReport` (marked ``interrupted``) aggregating
             every completed batch.
@@ -992,42 +963,30 @@ def run_fuzz(
         raise ValueError(f"need at least one sample, got {samples}")
     if jobs <= 0:
         raise ValueError(f"need at least one job, got {jobs}")
+    skipped = _skipped(skip)
     report = FuzzReport(samples=samples, seed=seed)
 
     def aggregate(batches: Sequence[List[Dict[str, Any]]]) -> FuzzReport:
         for batch in batches:
             for entry in batch:
-                report.checked += 1
-                if entry.get("fsm_compiled"):
-                    report.fsm_compiled += 1
-                if entry.get("fault_detected"):
-                    report.fault_detected += 1
-                if entry.get("vector_checked"):
-                    report.vector_checked += 1
-                report.coverage_pairs += entry.get("coverage_pairs", 0)
-                if entry.get("infield_checked"):
-                    report.infield_checked += 1
-                if entry.get("service_checked"):
-                    report.service_checked += 1
-                if entry.get("prt_checked"):
-                    report.prt_checked += 1
+                if not entry.get("lost"):
+                    report.checked += 1
+                for name in _COUNTERS:
+                    setattr(report, name,
+                            getattr(report, name) + entry.get(name, 0))
                 if not entry["ok"]:
                     report.mismatch_count += 1
-                    report.mismatches.append(
-                        {k: v for k, v in entry.items() if k != "ok"}
-                    )
+                    report.mismatches.append({
+                        k: v for k, v in entry.items()
+                        if k not in ("ok", "lost")
+                    })
         report.mismatches.sort(key=lambda entry: entry["index"])
         return report
 
     jobs = min(jobs, samples)
     if jobs == 1:
         try:
-            batches = [
-                _check_batch((seed, 0, samples, conformance,
-                              fault_conformance, coverage_conformance,
-                              vector_conformance, infield_conformance,
-                              service_conformance, prt_conformance))
-            ]
+            batches = [_check_batch((seed, 0, samples, skipped))]
         except KeyboardInterrupt:
             report.interrupted = True
             raise SweepInterrupted(aggregate([])) from None
@@ -1035,9 +994,7 @@ def run_fuzz(
 
     chunk = (samples + jobs - 1) // jobs
     work = [
-        (seed, start, min(chunk, samples - start), conformance,
-         fault_conformance, coverage_conformance, vector_conformance,
-         infield_conformance, service_conformance, prt_conformance)
+        (seed, start, min(chunk, samples - start), skipped)
         for start in range(0, samples, chunk)
     ]
     submissions = [

@@ -39,23 +39,17 @@ Commands:
     Run the verifier-vs-simulator fuzz harness: random well-formed
     march algorithms over random geometries, each checked for exact
     agreement between the static analyses and the cycle-accurate
-    controllers of both programmable architectures, plus op-for-op
+    controllers of both programmable architectures (identities
+    (a)-(c)), plus the optional identities (d)-(j): op-for-op
     behavioural equivalence of all three architectures against the
-    golden march expansion (``--no-conformance`` to skip) and response
-    equivalence on a randomly faulted memory (``--no-faults`` to skip),
-    cross-checked against the numpy batch sweep engine (``--no-vector``
-    to skip), plus an in-field transparent-session identity
-    (``--no-infield`` to skip).
+    golden march expansion, response equivalence on a randomly faulted
+    memory, coverage certificate vs simulation, the numpy batch sweep
+    engine vs the scalar one, in-field transparent sessions, resumed vs
+    uninterrupted sweeps and pseudo-ring determinism.  ``--skip
+    LETTERS`` leaves optional identities out (e.g. ``--skip ei``).
     Exits 1 on any mismatch, so CI can gate on it; ``--report FILE``
     writes the JSON artifact (failing samples carry minimised
     reproducers).
-``sweep``
-    Service-backed fault-response sweep on the crash-tolerant job
-    engine (``docs/SERVICE.md``): per-shard timeouts, bounded retry,
-    crash quarantine, and — with ``--store DIR`` — content-hashed
-    shard checkpoints so an interrupted sweep resumes (``--resume``)
-    and an identical rerun is pure cache hits.  SIGINT writes the
-    partial report (marked ``"interrupted": true``) and exits 130.
 ``conformance``
     Differential conformance tooling: ``run`` checks one algorithm (or
     ``--all``) op-for-op across the architectures with a structured
@@ -68,7 +62,12 @@ Commands:
     sweep several memory geometries into one sectioned report, and
     ``--mode concurrent|infield`` switches the stimulus regime to the
     same-cycle dual-port expansion or a deterministic in-field
-    transparent session);
+    transparent session).  Sweeps run on the crash-tolerant job engine
+    (``docs/SERVICE.md``): ``--shard-timeout S`` bounds each shard, and
+    ``--store DIR`` checkpoints completed shards so an interrupted
+    sweep resumes (``--resume``) and an identical rerun is pure cache
+    hits.  SIGINT writes the partial report (marked ``"interrupted":
+    true``) and exits 130;
     ``shrink`` delta-debugs a failing sample (``--sample
     SEED:INDEX`` from a fuzz report, or ``--notation``) to a minimal
     reproducer — with ``--fault SPEC`` the shrink runs over all three
@@ -406,27 +405,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.fuzz import run_fuzz
-    from repro.conformance.faulty.check import SweepInterrupted
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    try:
-        report = run_fuzz(
-            args.samples, seed=args.seed, jobs=jobs,
-            conformance=not args.no_conformance,
-            fault_conformance=not args.no_faults,
-            coverage_conformance=not args.no_coverage,
-            vector_conformance=not args.no_vector,
-            infield_conformance=not args.no_infield,
-            service_conformance=not args.no_service,
-            prt_conformance=not args.no_prt,
-        )
-    except SweepInterrupted as interrupt:
-        # Partial corpus, marked "interrupted": still a valid artifact.
-        return _handle_interrupt(args, interrupt)
+    report = run_fuzz(args.samples, seed=args.seed, jobs=jobs, skip=args.skip)
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
+        _write_report(args.report, report.to_json())
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -498,6 +481,7 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
         run_fault_sweeps,
         sweep_faults,
     )
+    from repro.service import ResultStore
 
     names = list(library.ALGORITHMS) if args.all else [args.algorithm]
     tests = [library.get(name) for name in names]
@@ -506,27 +490,27 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
     explicit_faults = (
         [parse_fault(spec) for spec in args.fault] if args.fault else None
     )
+    store = ResultStore(args.store) if args.store else None
+    sweep_kwargs = dict(
+        compress=compress, max_ops=args.max_ops, jobs=jobs, mode=args.mode,
+        store=store, resume=args.resume, shard_timeout=args.shard_timeout,
+    )
     if args.geometry:
         # Multi-geometry driver: one report with a section per geometry,
         # each drawing its own (geometry-dependent) fault population
         # unless --fault pinned one explicitly.
         geometries = [_parse_geometry(token) for token in args.geometry]
+
+        def sweep(engine: str):
+            return run_fault_sweeps(
+                geometries, tests, faults=explicit_faults,
+                per_kind=args.per_kind, seed=args.seed,
+                full=args.full_universe, engine=engine, **sweep_kwargs,
+            )
+
         if args.cross_engine:
             reports = {
-                engine: run_fault_sweeps(
-                    geometries,
-                    tests,
-                    faults=explicit_faults,
-                    per_kind=args.per_kind,
-                    seed=args.seed,
-                    full=args.full_universe,
-                    compress=compress,
-                    max_ops=args.max_ops,
-                    jobs=jobs,
-                    engine=engine,
-                    mode=args.mode,
-                )
-                for engine in ("scalar", "vector")
+                engine: sweep(engine) for engine in ("scalar", "vector")
             }
             identical = (
                 reports["scalar"].to_json(include_timing=False)
@@ -538,39 +522,17 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
                 "scalar": reports["scalar"].to_json(),
                 "vector": reports["vector"].to_json(),
             }
-            if args.report:
-                _write_report(args.report, payload)
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(
-                    "cross-engine multi-geometry sweep: "
-                    + ("IDENTICAL" if identical else "DIVERGED")
-                )
-                for engine in ("scalar", "vector"):
-                    print(f"--- {engine} ---")
-                    print(reports[engine].format())
-            return 0 if payload["ok"] else 1
-        report = run_fault_sweeps(
-            geometries,
-            tests,
-            faults=explicit_faults,
-            per_kind=args.per_kind,
-            seed=args.seed,
-            full=args.full_universe,
-            compress=compress,
-            max_ops=args.max_ops,
-            jobs=jobs,
-            engine=args.engine,
-            mode=args.mode,
+            text = "\n".join(
+                ["cross-engine multi-geometry sweep: "
+                 + ("IDENTICAL" if identical else "DIVERGED")]
+                + [f"--- {engine} ---\n{report.format()}"
+                   for engine, report in reports.items()]
+            )
+            return _emit_sweep(args, payload, text, store, payload["ok"])
+        report = sweep(args.engine)
+        return _emit_sweep(
+            args, report.to_json(), report.format(), store, report.ok
         )
-        if args.report:
-            _write_report(args.report, report.to_json())
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(report.format())
-        return 0 if report.ok else 1
     caps = _conformance_caps(args)
     faults = (
         explicit_faults
@@ -584,18 +546,13 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
         )
     )
     if args.cross_engine:
-        result = check_cross_engine(
-            tests, caps, faults, compress=compress, max_ops=args.max_ops,
-            jobs=jobs, mode=args.mode,
+        result = check_cross_engine(tests, caps, faults, **sweep_kwargs)
+        return _emit_sweep(
+            args, result.to_json(), result.format(), store,
+            result.ok and result.scalar.ok,
         )
-        if args.report:
-            _write_report(args.report, result.to_json())
-        if args.json:
-            print(json.dumps(result.to_json(), indent=2))
-        else:
-            print(result.format())
-        return 0 if result.ok and result.scalar.ok else 1
-    if args.engine == "scalar" and len(tests) == 1 and len(faults) == 1:
+    if (args.engine == "scalar" and len(tests) == 1 and len(faults) == 1
+            and store is None):
         started = time.perf_counter()
         result = check_fault_conformance(
             tests[0], caps, faults[0], compress=compress,
@@ -616,102 +573,33 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
             print(result.format())
         return 0 if result.ok else 1
     report = run_fault_sweep(
-        tests, caps, faults, compress=compress, max_ops=args.max_ops,
-        jobs=jobs, engine=args.engine, mode=args.mode,
+        tests, caps, faults, engine=args.engine, **sweep_kwargs
     )
-    if args.report:
-        _write_report(args.report, report.to_json())
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
+    return _emit_sweep(
+        args, report.to_json(), report.format(), store, report.ok
+    )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Service-backed fault sweep: resumable, crash-tolerant, cached."""
-    import os
-
-    from repro.conformance import run_fault_sweeps
-    from repro.service import ResultStore
-
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
-    tests = [library.get(name) for name in names]
-    compress = not args.no_compress
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    store = ResultStore(args.store) if args.store else None
-    explicit_faults = (
-        [parse_fault(spec) for spec in args.fault] if args.fault else None
-    )
-    geometries = (
-        [_parse_geometry(token) for token in args.geometry]
-        if args.geometry
-        else [(args.words, args.width, args.ports)]
-    )
-    service_kwargs = dict(
-        store=store,
-        resume=args.resume,
-        shard_timeout=args.shard_timeout,
-    )
-    if args.cross_engine:
-        reports = {
-            engine: run_fault_sweeps(
-                geometries, tests, faults=explicit_faults,
-                per_kind=args.per_kind, seed=args.seed,
-                full=args.full_universe, compress=compress,
-                max_ops=args.max_ops, jobs=jobs, engine=engine,
-                mode=args.mode, **service_kwargs,
-            )
-            for engine in ("scalar", "vector")
-        }
-        identical = (
-            reports["scalar"].to_json(include_timing=False)
-            == reports["vector"].to_json(include_timing=False)
-        )
-        payload = {
-            "ok": identical and reports["scalar"].ok,
-            "identical": identical,
-            "scalar": reports["scalar"].to_json(),
-            "vector": reports["vector"].to_json(),
-        }
-        if store is not None:
-            payload["store"] = store.stats()
-        if args.report:
-            _write_report(args.report, payload)
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                "cross-engine sweep: "
-                + ("IDENTICAL" if identical else "DIVERGED")
-            )
-            for engine in ("scalar", "vector"):
-                print(f"--- {engine} ---")
-                print(reports[engine].format())
-        return 0 if payload["ok"] else 1
-    report = run_fault_sweeps(
-        geometries, tests, faults=explicit_faults, per_kind=args.per_kind,
-        seed=args.seed, full=args.full_universe, compress=compress,
-        max_ops=args.max_ops, jobs=jobs, engine=args.engine,
-        mode=args.mode, **service_kwargs,
-    )
-    payload = report.to_json()
+def _emit_sweep(
+    args: argparse.Namespace, payload: dict, text: str, store, ok: bool
+) -> int:
+    """Write/print a sweep payload; with ``--store`` the store's
+    hit/miss counts ride along under ``"store"`` and as a summary line."""
     if store is not None:
-        payload["store"] = store.stats()
+        stats = payload["store"] = store.stats()
     if args.report:
         _write_report(args.report, payload)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(report.format())
+        print(text)
         if store is not None:
-            stats = store.stats()
             print(
                 f"store: {stats['hits']} hit(s), {stats['misses']} "
                 f"miss(es), {stats['corruptions']} corruption(s), "
                 f"{stats['puts']} put(s)"
             )
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_conformance_record(args: argparse.Namespace) -> int:
@@ -1049,128 +937,14 @@ def build_parser() -> argparse.ArgumentParser:
         "samples carry their shrunk reproducers)",
     )
     fuzz.add_argument(
-        "--no-conformance", action="store_true",
-        help="skip identity (d), op-for-op behavioural equivalence",
-    )
-    fuzz.add_argument(
-        "--no-faults", action="store_true",
-        help="skip identity (e), fault-response equivalence on a "
-        "randomly faulted memory",
-    )
-    fuzz.add_argument(
-        "--no-coverage", action="store_true",
-        help="skip identity (f), static coverage certificate vs "
-        "simulated fault sweep",
-    )
-    fuzz.add_argument(
-        "--no-vector", action="store_true",
-        help="skip identity (g), scalar-vs-vector sweep-engine report "
-        "equality on the identity-(e) sample (auto-skipped without "
-        "numpy)",
-    )
-    fuzz.add_argument(
-        "--no-infield", action="store_true",
-        help="skip identity (h), the fault-free and mid-stream-"
-        "injection in-field transparent session pair",
-    )
-    fuzz.add_argument(
-        "--no-service", action="store_true",
-        help="skip identity (i), interrupted-then-resumed sweep vs "
-        "uninterrupted serial sweep byte-equality",
-    )
-    fuzz.add_argument(
-        "--no-prt", action="store_true",
-        help="skip identity (j), pseudo-ring session determinism and "
-        "controller/session agreement",
+        "--skip", default="", metavar="LETTERS",
+        help="optional identities to leave out, e.g. --skip ei: "
+        "d behavioural equivalence, e fault-response equivalence, "
+        "f coverage certificate, g sweep-engine equivalence (reuses e; "
+        "needs numpy), h in-field session, i resumed sweep, "
+        "j pseudo-ring determinism; (a)-(c) always run",
     )
     fuzz.set_defaults(handler=_cmd_fuzz)
-
-    sweep_cmd = commands.add_parser(
-        "sweep",
-        help="service-backed fault-response sweep: crash-tolerant "
-        "workers, per-shard timeouts, and a content-hashed result "
-        "store that makes interrupted sweeps resumable (--resume) and "
-        "reruns cache hits",
-    )
-    _add_geometry_args(sweep_cmd)
-    sweep_cmd.add_argument(
-        "--all", action="store_true",
-        help="sweep every library algorithm instead of --algorithm",
-    )
-    sweep_cmd.add_argument(
-        "--fault", action="append", metavar="SPEC",
-        help="fault spec(s) to inject (repeatable); default: a "
-        "stratified sample of the standard universe",
-    )
-    sweep_cmd.add_argument(
-        "--per-kind", type=int, default=3,
-        help="stratified-sample size per fault kind (default: 3)",
-    )
-    sweep_cmd.add_argument(
-        "--full-universe", action="store_true",
-        help="sweep the whole spec-expressible standard universe",
-    )
-    sweep_cmd.add_argument(
-        "--seed", type=int, default=0,
-        help="stratified-sample seed (default: 0)",
-    )
-    sweep_cmd.add_argument(
-        "--max-ops", type=int, default=None,
-        help="per-run op budget (default: 4x the golden stream length)",
-    )
-    sweep_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="engine worker processes (0 = one per CPU); the report is "
-        "identical regardless, timing aside (default: 1)",
-    )
-    sweep_cmd.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry WORDSxWIDTH[xPORTS] to sweep "
-        "(repeatable); overrides --words/--width/--ports",
-    )
-    sweep_cmd.add_argument(
-        "--no-compress", action="store_true",
-        help="assemble the microcode without REPEAT compression",
-    )
-    sweep_cmd.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
-        help="stimulus regime (see 'conformance run-faulty --mode')",
-    )
-    sweep_cmd.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar",
-        help="sweep engine (see 'conformance run-faulty --engine')",
-    )
-    sweep_cmd.add_argument(
-        "--cross-engine", action="store_true",
-        help="run the sweep through BOTH engines and fail unless the "
-        "reports are byte-identical (timing aside)",
-    )
-    sweep_cmd.add_argument(
-        "--store", metavar="DIR",
-        help="result-store directory: completed shards are "
-        "checkpointed here and reruns of identical workloads (same "
-        "inputs, same code version) become cache hits",
-    )
-    sweep_cmd.add_argument(
-        "--resume", action="store_true",
-        help="reuse matching shard results already in --store (resume "
-        "an interrupted sweep, or skip unchanged reruns)",
-    )
-    sweep_cmd.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="S",
-        help="per-shard wall-clock budget in seconds; a shard past it "
-        "is killed and retried (default: none)",
-    )
-    sweep_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    sweep_cmd.add_argument(
-        "--report", metavar="FILE",
-        help="also write the JSON sweep report to FILE (on SIGINT the "
-        "partial report is written, marked interrupted)",
-    )
-    sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     certify_cmd = commands.add_parser(
         "certify",
@@ -1314,11 +1088,28 @@ def build_parser() -> argparse.ArgumentParser:
         "identity (g)",
     )
     conf_faulty.add_argument(
+        "--store", metavar="DIR",
+        help="result-store directory: completed shards are "
+        "checkpointed here and reruns of identical workloads (same "
+        "inputs, same code version) become cache hits",
+    )
+    conf_faulty.add_argument(
+        "--resume", action="store_true",
+        help="reuse matching shard results already in --store (resume "
+        "an interrupted sweep, or skip unchanged reruns)",
+    )
+    conf_faulty.add_argument(
+        "--shard-timeout", type=float, default=None, metavar="S",
+        help="per-shard wall-clock budget in seconds; a shard past it "
+        "is killed and retried (default: none)",
+    )
+    conf_faulty.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
     conf_faulty.add_argument(
         "--report", metavar="FILE",
-        help="also write the JSON sweep report to FILE (CI artifact)",
+        help="also write the JSON sweep report to FILE (CI artifact; on "
+        "SIGINT the partial report is written, marked interrupted)",
     )
     conf_faulty.set_defaults(handler=_cmd_conformance_run_faulty)
 

@@ -180,7 +180,7 @@ class TestFaultIdentity:
         assert one.fault_detected == two.fault_detected
 
     def test_fault_check_can_be_disabled(self):
-        result = check_sample(0, 0, fault_conformance=False)
+        result = check_sample(0, 0, skip="e")
         assert result.fault_spec is None
         assert not result.fault_detected
 

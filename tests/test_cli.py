@@ -416,6 +416,37 @@ class TestConformanceRunFaultyCommand:
             [3, 1, 1], [2, 2, 1]
         ]
 
+    def test_store_rerun_is_served_from_the_store(self, capsys, tmp_path):
+        import json as json_module
+
+        store = tmp_path / "store"
+        base = ["conformance", "run-faulty", "--algorithm", "MATS+",
+                "--words", "3", "--per-kind", "1",
+                "--store", str(store), "--resume"]
+        first_file = tmp_path / "first.json"
+        second_file = tmp_path / "second.json"
+        assert main(base + ["--report", str(first_file)]) == 0
+        assert main(base + ["--report", str(second_file)]) == 0
+        assert "store: " in capsys.readouterr().out
+        first = json_module.loads(first_file.read_text())
+        second = json_module.loads(second_file.read_text())
+        assert first["store"]["puts"] > 0
+        assert second["store"]["hits"] > 0
+        assert second["store"]["puts"] == 0
+        for payload in (first, second):
+            del payload["timing"], payload["store"]
+        assert first == second
+
+    def test_single_run_with_a_store_writes_an_entry(self, capsys, tmp_path):
+        from repro.service import ResultStore
+
+        store = tmp_path / "store"
+        assert main(["conformance", "run-faulty", "--algorithm", "March C",
+                     "--words", "4", "--width", "2",
+                     "--fault", "saf:2:1:1", "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert list(ResultStore(store).entry_paths())
+
     def test_bad_geometry_exits_two(self, capsys):
         assert main(["conformance", "run-faulty",
                      "--geometry", "4xZ"]) == 2
@@ -467,12 +498,38 @@ class TestFuzzCommand:
     def test_bad_arguments_exit_two(self, capsys):
         assert main(["fuzz", "--samples", "0", "--jobs", "1"]) == 2
         assert "at least one sample" in capsys.readouterr().err
+        for letter in ("z", "a"):
+            assert main(["fuzz", "--samples", "1", "--jobs", "1",
+                         "--skip", letter]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "d (behavioural equivalence)" in err
+            assert "j (pseudo-ring determinism)" in err
+
+    def test_interrupt_writes_the_partial_report(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import json as json_module
+
+        from repro.analysis import fuzz
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fuzz, "_check_batch", interrupted)
+        report_file = tmp_path / "partial.json"
+        assert main(["fuzz", "--samples", "4", "--jobs", "1",
+                     "--report", str(report_file)]) == 130
+        assert "interrupted" in capsys.readouterr().err
+        payload = json_module.loads(report_file.read_text())
+        assert payload["interrupted"] is True
+        assert payload["checked"] == 0
 
     def test_no_faults_skips_identity_e(self, capsys):
         import json as json_module
 
         assert main(["fuzz", "--samples", "6", "--seed", "0",
-                     "--jobs", "1", "--no-faults", "--json"]) == 0
+                     "--jobs", "1", "--skip", "e", "--json"]) == 0
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["checked"] == 6
         assert payload["fault_detected"] == 0

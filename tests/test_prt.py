@@ -368,12 +368,7 @@ class TestFuzzIdentityJ:
         from repro.analysis.fuzz import check_sample
 
         for index in range(3):
-            result = check_sample(
-                11, index,
-                conformance=False, fault_conformance=False,
-                coverage_conformance=False, vector_conformance=False,
-                infield_conformance=False, service_conformance=False,
-            )
+            result = check_sample(11, index, skip="defghi")
             assert result.prt_checked
             assert result.ok, result.mismatches
             assert result.to_dict()["prt_checked"] is True
@@ -381,13 +376,7 @@ class TestFuzzIdentityJ:
     def test_identity_is_skippable(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(
-            11, 0,
-            conformance=False, fault_conformance=False,
-            coverage_conformance=False, vector_conformance=False,
-            infield_conformance=False, service_conformance=False,
-            prt_conformance=False,
-        )
+        result = check_sample(11, 0, skip="defghij")
         assert not result.prt_checked
 
 

@@ -12,6 +12,7 @@ import copy
 
 import pytest
 
+from repro.analysis.fuzz import _check_batch as _fuzz_check_batch
 from repro.conformance.faulty.check import (
     FaultSweepReport,
     SweepInterrupted,
@@ -282,9 +283,44 @@ class TestFuzzServiceIdentity:
     def test_service_identity_can_be_disabled(self):
         from repro.analysis.fuzz import run_fuzz
 
-        report = run_fuzz(2, seed=5, jobs=1, service_conformance=False)
+        report = run_fuzz(2, seed=5, jobs=1, skip="i")
         assert report.ok
         assert report.service_checked == 0
+
+
+def _crash_first_fuzz_batch(args):
+    """``_check_batch`` whose worker dies on the batch at sample 0.
+
+    Module-level so the engine can pickle it by reference; the forked
+    workers see it under the patched name.  Only a worker process dies —
+    run in the test process it raises instead.
+    """
+    import multiprocessing
+    import os
+
+    if args[1] == 0:
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("planted batch failure")
+        os._exit(1)
+    return _fuzz_check_batch(args)
+
+
+class TestFuzzLostBatch:
+    def test_lost_batch_checks_nothing_and_reports_one_mismatch(
+        self, monkeypatch
+    ):
+        """A batch whose worker keeps crashing is quarantined: none of
+        its samples counts as checked, and it leaves one mismatch."""
+        from repro.analysis import fuzz
+
+        monkeypatch.setattr(fuzz, "_check_batch", _crash_first_fuzz_batch)
+        report = fuzz.run_fuzz(8, seed=0, jobs=2)
+        assert report.checked == 4
+        assert report.mismatch_count == 1
+        (entry,) = report.mismatches
+        assert entry["sample_seed"] == "<batch 0..3>"
+        assert entry["mismatches"][0].startswith("service: batch lost: ")
+        assert "lost" not in entry and "ok" not in entry
 
 
 class TestVectorEngineService:

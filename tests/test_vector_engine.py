@@ -270,15 +270,12 @@ class TestFuzzVectorIdentity:
     def test_sample_reports_vector_checked(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(11, 0, conformance=False,
-                              coverage_conformance=False)
+        result = check_sample(11, 0, skip="df")
         assert result.vector_checked
         assert result.ok, result.mismatches
 
     def test_vector_identity_can_be_disabled(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(11, 0, conformance=False,
-                              coverage_conformance=False,
-                              vector_conformance=False)
+        result = check_sample(11, 0, skip="dfg")
         assert not result.vector_checked
