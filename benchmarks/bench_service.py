@@ -11,9 +11,9 @@ layer instead of running it inline:
   overhead;
 * **cold store** — store-backed run on an empty cache (every shard a
   miss + put);
-* **warm store** — the immediate rerun with ``resume=True``: every
-  shard answered from the content-hashed cache, reporting the hit rate
-  and the resulting speedup.
+* **warm store** — the immediate rerun on the same store: every shard
+  answered from the content-hashed cache, reporting the hit rate and
+  the resulting speedup.
 
 All four produce the same report payload (timing aside) — asserted
 here, because a benchmark of a nondeterministic service would be
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         with sections.section("store_warm"):
             with timed() as t_warm:
                 warm = run_fault_sweep(
-                    tests, caps, faults, jobs=1, store=store, resume=True
+                    tests, caps, faults, jobs=1, store=store
                 )
         payloads["store_warm"] = warm.to_json()
         warm_stats = warm.service_stats["store"]

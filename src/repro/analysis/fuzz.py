@@ -74,8 +74,9 @@ the letters to leave out.
 
 Any violation — including the verifier *rejecting* a well-formed
 algorithm, the false-positive direction — is a mismatch.  The
-``repro fuzz`` CLI subcommand batch-parallelises the corpus over the
-crash-tolerant :class:`~repro.service.engine.JobEngine`; per-sample
+``repro fuzz`` CLI subcommand batch-parallelises the corpus through
+the sweeps' shard runner on the crash-tolerant
+:class:`~repro.service.engine.JobEngine`; per-sample
 seeds are derived from ``(seed, index)`` so reports are deterministic
 and independent of ``--jobs``, and a crashed or interrupted worker
 costs its batch a retry, not the corpus.
@@ -645,7 +646,7 @@ def _check_service_identity(result: SampleResult, sample: _Sample) -> None:
         try:
             run_fault_sweep(
                 [test], caps, faults, compress=compress,
-                store=store, resume=True, chaos=plan,
+                store=store, chaos=plan,
             )
         except SweepInterrupted as interrupt:
             partial = interrupt.report.to_json()
@@ -665,8 +666,7 @@ def _check_service_identity(result: SampleResult, sample: _Sample) -> None:
             )
             return
         resumed = run_fault_sweep(
-            [test], caps, faults, compress=compress,
-            store=store, resume=True,
+            [test], caps, faults, compress=compress, store=store,
         )
         stats = (resumed.service_stats or {}).get("store", {})
         if resumed.to_json(include_timing=False) != baseline:
@@ -926,7 +926,6 @@ def run_fuzz(
     seed: int = 0,
     jobs: int = 1,
     skip: Iterable[str] = (),
-    shard_timeout: Optional[float] = None,
 ) -> FuzzReport:
     """Run the corpus and aggregate a :class:`FuzzReport`.
 
@@ -934,15 +933,15 @@ def run_fuzz(
         samples: corpus size.
         seed: master seed; sample ``i`` derives its RNG from
             ``(seed, i)``, so the report is independent of ``jobs``.
-        jobs: worker-process count; 1 runs inline (no pool), more run
-            batches on a :class:`~repro.service.engine.JobEngine` — a
-            crashed worker no longer discards the completed batches,
-            and batches that failed without crash/timeout history are
-            retried serially.
+        jobs: worker-process count; the corpus is cut into ``jobs``
+            contiguous batches run by the shard runner
+            (:func:`repro.service.engine.run_shards`).  1 runs inline
+            (no pool); more run batches on a
+            :class:`~repro.service.engine.JobEngine` — a crashed worker
+            no longer discards the completed batches, and batches that
+            failed without crash/timeout history are retried serially.
         skip: letters of :data:`IDENTITIES` to leave out (default:
             none; every identity runs).
-        shard_timeout: per-batch wall-clock budget (seconds), enforced
-            by the engine when ``jobs > 1``.
 
     Raises:
         ValueError: ``samples`` or ``jobs`` is below one, or ``skip``
@@ -951,13 +950,7 @@ def run_fuzz(
             :class:`FuzzReport` (marked ``interrupted``) aggregating
             every completed batch.
     """
-    from repro.conformance.faulty.check import SweepInterrupted
-    from repro.service.engine import (
-        Job,
-        JobEngine,
-        JobsInterrupted,
-        RetryPolicy,
-    )
+    from repro.service.engine import run_shards
 
     if samples <= 0:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -984,61 +977,15 @@ def run_fuzz(
         return report
 
     jobs = min(jobs, samples)
-    if jobs == 1:
-        try:
-            batches = [_check_batch((seed, 0, samples, skipped))]
-        except KeyboardInterrupt:
-            report.interrupted = True
-            raise SweepInterrupted(aggregate([])) from None
-        return aggregate(batches)
-
     chunk = (samples + jobs - 1) // jobs
     work = [
         (seed, start, min(chunk, samples - start), skipped)
         for start in range(0, samples, chunk)
     ]
-    submissions = [
-        Job(key=f"fuzz:{seed}:{args[1]}:{args[2]}", fn=_check_batch,
-            payload=args)
-        for args in work
-    ]
-    engine = JobEngine(
-        workers=jobs, policy=RetryPolicy(timeout=shard_timeout)
+    return run_shards(
+        work, _check_batch, aggregate,
+        lambda i, incident: [_lost_batch_entry(
+            work[i][1], work[i][2], incident
+        )],
+        jobs=jobs,
     )
-    try:
-        engine_report = engine.run(submissions)
-    except JobsInterrupted as interrupt:
-        completed = {o.key: o.value for o in interrupt.outcomes if o.ok}
-        report.interrupted = True
-        raise SweepInterrupted(aggregate(
-            [completed[job.key] for job in submissions
-             if job.key in completed]
-        )) from None
-    finally:
-        engine.close()
-
-    batches: List[List[Dict[str, Any]]] = []
-    serial_retries = 0
-    for outcome, args in zip(engine_report.outcomes, work):
-        if outcome.ok:
-            batches.append(outcome.value)
-        elif outcome.safe_inline:
-            # The batch only raised — completed batches are safe, so
-            # rerun it serially rather than losing its samples.
-            try:
-                batches.append(_check_batch(args))
-                serial_retries += 1
-            except Exception as error:
-                batches.append([_lost_batch_entry(
-                    args[1], args[2],
-                    f"{outcome.error}; serial retry: "
-                    f"{type(error).__name__}: {error}",
-                )])
-        else:
-            batches.append([_lost_batch_entry(
-                args[1], args[2], f"{outcome.status}: {outcome.error}",
-            )])
-    stats = engine_report.stats()
-    stats["serial_retries"] = serial_retries
-    report.service_stats = stats
-    return aggregate(batches)

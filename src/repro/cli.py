@@ -64,10 +64,10 @@ Commands:
     same-cycle dual-port expansion or a deterministic in-field
     transparent session).  Sweeps run on the crash-tolerant job engine
     (``docs/SERVICE.md``): ``--shard-timeout S`` bounds each shard, and
-    ``--store DIR`` checkpoints completed shards so an interrupted
-    sweep resumes (``--resume``) and an identical rerun is pure cache
-    hits.  SIGINT writes the partial report (marked ``"interrupted":
-    true``) and exits 130;
+    ``--store DIR`` checkpoints completed shards and reads them back,
+    so rerunning an interrupted sweep resumes it and an identical rerun
+    is pure cache hits.  SIGINT writes the partial report (marked
+    ``"interrupted": true``) and exits 130;
     ``shrink`` delta-debugs a failing sample (``--sample
     SEED:INDEX`` from a fuzz report, or ``--notation``) to a minimal
     reproducer — with ``--fault SPEC`` the shrink runs over all three
@@ -493,7 +493,7 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
     store = ResultStore(args.store) if args.store else None
     sweep_kwargs = dict(
         compress=compress, max_ops=args.max_ops, jobs=jobs, mode=args.mode,
-        store=store, resume=args.resume, shard_timeout=args.shard_timeout,
+        store=store, shard_timeout=args.shard_timeout,
     )
     if args.geometry:
         # Multi-geometry driver: one report with a section per geometry,
@@ -1090,13 +1090,9 @@ def build_parser() -> argparse.ArgumentParser:
     conf_faulty.add_argument(
         "--store", metavar="DIR",
         help="result-store directory: completed shards are "
-        "checkpointed here and reruns of identical workloads (same "
+        "checkpointed here and read back, so rerunning an interrupted "
+        "sweep resumes it and reruns of identical workloads (same "
         "inputs, same code version) become cache hits",
-    )
-    conf_faulty.add_argument(
-        "--resume", action="store_true",
-        help="reuse matching shard results already in --store (resume "
-        "an interrupted sweep, or skip unchanged reruns)",
     )
     conf_faulty.add_argument(
         "--shard-timeout", type=float, default=None, metavar="S",
@@ -1330,5 +1326,6 @@ def _handle_interrupt(args: argparse.Namespace, interrupt) -> int:
     else:
         print(report.format(), flush=True)
         print("interrupted: partial report preserved "
-              "(rerun with --resume to finish)", file=sys.stderr)
+              "(rerun the same command with the same --store)",
+              file=sys.stderr)
     return 130

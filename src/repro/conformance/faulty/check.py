@@ -1,8 +1,9 @@
 """Differential fault-response conformance of the three architectures.
 
 :func:`repro.conformance.check_conformance` proves the architectures
-emit identical *stimulus* on fault-free memories; this module proves they give identical *verdicts* on broken ones — the
-property the paper actually sells (detection, fail logging, diagnosis
+emit identical *stimulus* on fault-free memories; this module proves
+they give identical *verdicts* on broken ones — the property the paper
+actually sells (detection, fail logging, diagnosis
 across fabrication stages).
 
 :func:`check_fault_conformance` captures a golden response to one
@@ -39,7 +40,11 @@ variant for an in-field session), ``error`` (a controller that hangs,
 crashes, or overruns the per-run op budget on a decoder-fault memory is
 a harness *error*, not a response mismatch) and ``diverged`` with the
 offending layer named.  :func:`run_fault_sweep` and the vector engine's
-``run_vector_fault_sweep`` share one serial-or-sharded helper.
+``run_vector_fault_sweep`` share one serial-or-sharded helper: a
+single inline shard, or work items handed to the service layer's one
+shard runner (:func:`repro.service.engine.run_shards`), which the fuzz
+corpus uses too.  A sweep given a result store always reads it back,
+so rerunning an interrupted sweep resumes it.
 """
 
 from __future__ import annotations
@@ -599,11 +604,10 @@ class FaultSweepReport:
     ``interrupted`` marks a *partial* report: a sweep stopped by SIGINT
     after some shards completed.  Its payload carries
     ``"interrupted": true`` so downstream tooling never mistakes it for
-    a verdict; re-running with the same :class:`ResultStore` and
-    ``resume=True`` completes the missing shards and yields the full
-    report.  ``service_stats`` (retries, crashes, quarantines, store
-    hit rates) lives under ``timing`` — execution metadata, not
-    verdict.
+    a verdict; re-running with the same :class:`ResultStore` completes
+    the missing shards and yields the full report.  ``service_stats``
+    (retries, crashes, quarantines, store hit rates) lives under
+    ``timing`` — execution metadata, not verdict.
     """
 
     geometry: Tuple[int, int, int]
@@ -763,8 +767,8 @@ class SweepInterrupted(RuntimeError):
     The partial report is a real, mergeable artifact: it is marked
     ``interrupted`` and — when the sweep ran with a
     :class:`~repro.service.store.ResultStore` — every completed shard
-    is already checkpointed, so rerunning the same sweep with
-    ``resume=True`` finishes from where this one stopped.
+    is already checkpointed, so rerunning the same sweep with the same
+    store finishes from where this one stopped.
     """
 
     def __init__(self, report: Any) -> None:
@@ -824,22 +828,18 @@ def _fault_cache_key(fault: CellFault) -> str:
 
 
 def _lost_shard_report(
-    geometry: Tuple[int, int, int],
-    mode: str,
-    shard_engine: str,
-    shard_index: int,
-    start: int,
-    count: int,
-    error: str,
+    args: Tuple[Any, ...], shard_engine: str, incident: str
 ) -> FaultSweepReport:
     """A mergeable stand-in for a shard the service could not finish.
 
-    A quarantined poison shard (or one that exhausted its retries on a
-    non-inlineable failure) is *reported*, not silently dropped and not
-    allowed to abort the sweep: the merged report carries a
-    ``shard-lost`` failure naming the run range and the service
-    incident, so it is visibly not-ok.
+    ``args`` is the shard's work item.  A quarantined poison shard (or
+    one that exhausted its retries on a non-inlineable failure) is
+    *reported*, not silently dropped and not allowed to abort the
+    sweep: the merged report carries a ``shard-lost`` failure naming
+    the run range and the service incident, so it is visibly not-ok.
     """
+    shard_index, _, caps, _, start, count, _, _, mode = args
+    geometry = (caps.n_words, caps.width, caps.ports)
     report = FaultSweepReport(
         geometry=geometry, mode=mode, engine=shard_engine
     )
@@ -851,7 +851,7 @@ def _lost_shard_report(
         "fault_spec": None,
         "mode": mode,
         "ok": False,
-        "error": error,
+        "error": incident,
         "architectures": [],
     })
     report.shards = [{
@@ -861,191 +861,6 @@ def _lost_shard_report(
         "lost": True,
     }]
     return report
-
-
-def _run_sharded(
-    work: Sequence[Tuple[Any, ...]],
-    shard_fn: Callable[[Any], FaultSweepReport],
-    geometry: Tuple[int, int, int],
-    jobs: int,
-    mode: str,
-    shard_engine: str,
-    key_fields: Optional[Dict[str, Any]] = None,
-    service: Optional[Any] = None,
-    store: Optional[Any] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    chaos: Optional[Any] = None,
-) -> FaultSweepReport:
-    """Run shard work items through the service layer and merge.
-
-    The execution half of :func:`_run_sweep`.  ``work``
-    items are ``shard_fn`` argument tuples whose slots 0/4/5 are the
-    shard index, start offset and run count (the existing worker-entry
-    convention).  Behaviour by configuration:
-
-    * ``store`` set: each shard gets a content-hashed key; with
-      ``resume=True`` cached shard payloads are reused (cache hits),
-      and every freshly computed shard is checkpointed before the next
-      starts, so an interrupted sweep resumes instead of restarting.
-    * ``jobs == 1`` and no engine-requiring feature: shards run inline
-      in this process (checkpointed serial mode) — no subprocesses, but
-      still resumable and still interruptible with a partial report.
-    * otherwise: shards become :class:`~repro.service.engine.Job`s on a
-      :class:`~repro.service.engine.JobEngine` (the caller's shared
-      ``service`` engine, or a private one).  Shards that failed only
-      by raising (no crash/timeout history) are retried serially here —
-      completed shards are already safe — and shards the engine
-      quarantined become ``shard-lost`` failure records.
-
-    Raises:
-        SweepInterrupted: on SIGINT (or an injected interrupt), with
-            the merged partial report of every completed shard.
-    """
-    from repro.service.engine import Job, JobEngine, JobsInterrupted, RetryPolicy
-
-    reports: List[Optional[FaultSweepReport]] = [None] * len(work)
-    keys: List[Optional[Any]] = [None] * len(work)
-    store_before = store.stats() if store is not None else None
-    if store is not None:
-        for i, args in enumerate(work):
-            keys[i] = store.key(
-                **key_fields, shard={"start": args[4], "count": args[5]}
-            )
-            if resume:
-                cached = store.get(keys[i])
-                if cached is not None:
-                    reports[i] = FaultSweepReport.from_json(cached)
-
-    def complete(i: int, report: FaultSweepReport) -> None:
-        reports[i] = report
-        if store is not None and keys[i] is not None:
-            store.put(keys[i], report.to_json())
-
-    def service_stats(engine_stats: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {}
-        if engine_stats is not None:
-            stats.update(engine_stats)
-        if store is not None and store_before is not None:
-            after = store.stats()
-            stats["store"] = {
-                name: after[name] - store_before[name] for name in after
-            }
-        return stats
-
-    def partial(engine_stats: Optional[Dict[str, Any]]) -> FaultSweepReport:
-        done = [report for report in reports if report is not None]
-        if done:
-            merged = FaultSweepReport.merge(done)
-        else:
-            merged = FaultSweepReport(
-                geometry=geometry, mode=mode, engine=shard_engine
-            )
-        merged.interrupted = True
-        merged.jobs = jobs
-        stats = service_stats(engine_stats)
-        merged.service_stats = stats or None
-        return merged
-
-    missing = [i for i in range(len(work)) if reports[i] is None]
-    engine_stats: Optional[Dict[str, Any]] = None
-    chaos_behaviors = bool(chaos is not None and chaos.behaviors)
-    use_engine = bool(missing) and (
-        service is not None or jobs > 1 or chaos_behaviors
-    )
-
-    if missing and not use_engine:
-        # Checkpointed serial mode: shards run inline, each persisted
-        # before the next starts.  An injected interrupt (chaos) and a
-        # real SIGINT take the same partial-report exit.
-        completed_since = 0
-        try:
-            for i in missing:
-                complete(i, shard_fn(work[i]))
-                completed_since += 1
-                if (
-                    chaos is not None
-                    and chaos.interrupt_after is not None
-                    and completed_since >= chaos.interrupt_after
-                    and i != missing[-1]
-                ):
-                    raise KeyboardInterrupt
-        except KeyboardInterrupt:
-            raise SweepInterrupted(partial(None)) from None
-    elif missing:
-        owns_engine = service is None
-        engine = service
-        if engine is None:
-            engine = JobEngine(
-                workers=max(1, min(jobs, len(missing))),
-                policy=RetryPolicy(timeout=shard_timeout),
-            )
-        submissions = []
-        index_by_key: Dict[str, int] = {}
-        for i in missing:
-            args = work[i]
-            key = (
-                keys[i].digest if keys[i] is not None
-                else f"shard:{args[0]}"
-            )
-            index_by_key[key] = i
-            fn: Callable[[Any], Any] = shard_fn
-            payload: Any = args
-            if chaos is not None:
-                fn, payload = chaos.wrap(args[0], shard_fn, args)
-            submissions.append(Job(key=key, fn=fn, payload=payload))
-        try:
-            engine_report = engine.run(submissions)
-        except JobsInterrupted as interrupt:
-            for outcome in interrupt.outcomes:
-                if outcome.ok:
-                    complete(index_by_key[outcome.key], outcome.value)
-            if owns_engine:
-                engine.close()
-            raise SweepInterrupted(partial(None)) from None
-        finally:
-            if owns_engine:
-                engine.close()
-        engine_stats = engine_report.stats()
-        serial_retries = 0
-        for outcome, i in zip(engine_report.outcomes, missing):
-            if outcome.ok:
-                complete(i, outcome.value)
-                continue
-            args = work[i]
-            if outcome.safe_inline:
-                # Failed only by raising: completed shards are safe in
-                # ``reports``, so a serial in-process retry is cheap
-                # insurance against transient worker trouble.
-                try:
-                    complete(i, shard_fn(args))
-                    serial_retries += 1
-                    continue
-                except KeyboardInterrupt:
-                    raise SweepInterrupted(partial(engine_stats)) from None
-                except Exception as error:
-                    incident = (
-                        f"{outcome.status}: {outcome.error}; serial retry: "
-                        f"{type(error).__name__}: {error}"
-                    )
-            else:
-                incident = f"{outcome.status}: {outcome.error}"
-            reports[i] = _lost_shard_report(
-                geometry, mode, shard_engine,
-                args[0], args[4], args[5], incident,
-            )
-        engine_stats["serial_retries"] = serial_retries
-
-    final = [report for report in reports if report is not None]
-    if not final:
-        merged = FaultSweepReport(
-            geometry=geometry, mode=mode, engine=shard_engine
-        )
-    else:
-        merged = FaultSweepReport.merge(final)
-    stats = service_stats(engine_stats)
-    merged.service_stats = stats or None
-    return merged
 
 
 def run_fault_sweep(
@@ -1059,7 +874,6 @@ def run_fault_sweep(
     mode: str = "sequential",
     service: Optional[Any] = None,
     store: Optional[Any] = None,
-    resume: bool = False,
     shard_timeout: Optional[float] = None,
     chaos: Optional[Any] = None,
 ) -> FaultSweepReport:
@@ -1091,17 +905,19 @@ def run_fault_sweep(
             run shards on (the multi-geometry sweep passes one pool for
             all geometries); ``None`` spins a private engine when the
             configuration shards.
-        store: a :class:`~repro.service.store.ResultStore`; completed
-            shards are checkpointed into it, and with ``resume=True``
-            previously stored shards are cache hits.
-        resume: read matching shard results back from ``store``.
-        shard_timeout: per-shard wall-clock budget (seconds) enforced
-            by the engine (ignored when a shared ``service`` engine
-            carries its own policy).
+        store: a :class:`~repro.service.store.ResultStore`; shards
+            already stored are cache hits, and freshly completed shards
+            are checkpointed into it, so rerunning an interrupted sweep
+            resumes it.
+        shard_timeout: per-shard wall-clock budget (seconds, positive)
+            enforced by the engine (ignored when a shared ``service``
+            engine carries its own policy).
         chaos: a :class:`~repro.service.chaos.ChaosPlan` misbehaving on
             schedule — test-only.
 
     Raises:
+        ValueError: an unknown ``engine`` or ``mode``, ``jobs`` below
+            one, or a non-positive ``shard_timeout``.
         SweepInterrupted: SIGINT during a sharded run; carries the
             partial report (see the class docstring).
     """
@@ -1118,12 +934,12 @@ def run_fault_sweep(
         return run_vector_fault_sweep(
             tests, capabilities, faults, compress=compress,
             max_ops=max_ops, jobs=jobs, service=service, store=store,
-            resume=resume, shard_timeout=shard_timeout, chaos=chaos,
+            shard_timeout=shard_timeout, chaos=chaos,
         )
     return _run_sweep(
         _sweep_shard, "product", 4, tests, capabilities, faults,
         compress=compress, max_ops=max_ops, jobs=jobs, mode=mode,
-        engine=engine, service=service, store=store, resume=resume,
+        engine=engine, service=service, store=store,
         shard_timeout=shard_timeout, chaos=chaos,
     )
 
@@ -1142,7 +958,6 @@ def _run_sweep(
     engine: str,
     service: Optional[Any],
     store: Optional[Any],
-    resume: bool,
     shard_timeout: Optional[float],
     chaos: Optional[Any],
 ) -> FaultSweepReport:
@@ -1154,16 +969,22 @@ def _run_sweep(
     vector kernel's per-test batches.  Either way a work item is
     ``(shard, tests, caps, faults, start, count, compress, max_ops,
     mode)`` and shard reports merge in serial order.  A single worker
-    without service features runs one inline shard; anything else goes
-    through :func:`_run_sharded`, with ``shards_per_worker`` shards per
-    worker so a shard that drew the longest algorithms does not leave
-    the others idle, and store keys that carry ``axis`` and ``engine``
-    so the engines never share cache entries.  An ``engine`` other than
-    the shard function's own (``vector`` over product shards) is the
-    counted whole-sweep fallback: every run lands in ``fallback_runs``.
+    without service features runs one inline shard, without importing
+    the service layer; anything else goes through the shard runner
+    (:func:`repro.service.engine.run_shards`), with
+    ``shards_per_worker`` shards per worker so a shard that drew the
+    longest algorithms does not leave the others idle, and store keys
+    that carry ``axis`` and ``engine`` so the engines never share cache
+    entries.  An ``engine`` other than the shard function's own
+    (``vector`` over product shards) is the counted whole-sweep
+    fallback: every run lands in ``fallback_runs``.
     """
     if jobs <= 0:
         raise ValueError(f"need at least one job, got {jobs}")
+    if shard_timeout is not None and shard_timeout <= 0:
+        raise ValueError(
+            f"shard timeout must be positive, got {shard_timeout}"
+        )
     tests = list(tests)
     faults = list(faults)
     geometry = (caps.n_words, caps.width, caps.ports)
@@ -1171,10 +992,18 @@ def _run_sweep(
     units = len(tests) * len(faults) if axis == "product" else len(tests)
     started = time.perf_counter()
 
+    def merge(reports: List[FaultSweepReport]) -> FaultSweepReport:
+        if reports:
+            return FaultSweepReport.merge(reports)
+        return FaultSweepReport(
+            geometry=geometry, mode=mode, engine=shard_engine
+        )
+
     def finish(report: FaultSweepReport) -> FaultSweepReport:
         if engine != shard_engine:
             report.engine = engine
             report.fallback_runs = report.checked
+        report.jobs = jobs
         report.wall_time_s = time.perf_counter() - started
         return report
 
@@ -1182,51 +1011,55 @@ def _run_sweep(
         service is not None or store is not None or chaos is not None
     )
     if not tests or not faults:
-        report = FaultSweepReport(
-            geometry=geometry, mode=mode, engine=shard_engine
-        )
-    elif min(jobs, units) == 1 and not serviced:
-        report = shard_fn(
+        return finish(merge([]))
+    if min(jobs, units) == 1 and not serviced:
+        return finish(shard_fn(
             (0, tests, caps, faults, 0, units, compress, max_ops, mode)
-        )
-    else:
-        workers = min(jobs, units)
-        shards = min(units, max(workers, 2) * shards_per_worker)
-        chunk = (units + shards - 1) // shards
-        work = [
-            (shard, tests, caps, faults, start,
-             min(chunk, units - start), compress, max_ops, mode)
-            for shard, start in enumerate(range(0, units, chunk))
-        ]
-        key_fields = None
-        if store is not None:
-            from repro.service.store import payload_digest
+        ))
+    from repro.service.engine import run_shards
 
-            key_fields = {
-                "kind": "fault-sweep-shard",
-                "axis": axis,
-                "tests": payload_digest(
-                    [stimulus_notation(t) for t in tests]
-                ),
-                "geometry": list(geometry),
-                "faults": payload_digest(
-                    [_fault_cache_key(f) for f in faults]
-                ),
-                "compress": compress,
-                "max_ops": max_ops,
-                "mode": mode,
-                "engine": engine,
-            }
-        try:
-            report = _run_sharded(
-                work, shard_fn, geometry, workers, mode, shard_engine,
-                key_fields=key_fields, service=service, store=store,
-                resume=resume, shard_timeout=shard_timeout, chaos=chaos,
+    workers = min(jobs, units)
+    shards = min(units, max(workers, 2) * shards_per_worker)
+    chunk = (units + shards - 1) // shards
+    work = [
+        (shard, tests, caps, faults, start,
+         min(chunk, units - start), compress, max_ops, mode)
+        for shard, start in enumerate(range(0, units, chunk))
+    ]
+    keys = []
+    if store is not None:
+        from repro.service.store import payload_digest
+
+        key_fields = {
+            "kind": "fault-sweep-shard",
+            "axis": axis,
+            "tests": payload_digest([stimulus_notation(t) for t in tests]),
+            "geometry": list(geometry),
+            "faults": payload_digest([_fault_cache_key(f) for f in faults]),
+            "compress": compress,
+            "max_ops": max_ops,
+            "mode": mode,
+            "engine": engine,
+        }
+        keys = [
+            store.key(
+                **key_fields, shard={"start": args[4], "count": args[5]}
             )
-        except SweepInterrupted as interrupt:
-            finish(interrupt.report)
-            raise
-    report.jobs = jobs
+            for args in work
+        ]
+    try:
+        report = run_shards(
+            work, shard_fn, merge,
+            lambda i, incident: _lost_shard_report(
+                work[i], shard_engine, incident
+            ),
+            jobs=workers, service=service, store=store, keys=keys,
+            load=FaultSweepReport.from_json, shard_timeout=shard_timeout,
+            chaos=chaos,
+        )
+    except SweepInterrupted as interrupt:
+        finish(interrupt.report)
+        raise
     return finish(report)
 
 
@@ -1290,31 +1123,27 @@ def check_cross_engine(
     max_ops: Optional[int] = None,
     jobs: int = 1,
     mode: str = "sequential",
-    service: Optional[Any] = None,
     store: Optional[Any] = None,
-    resume: bool = False,
     shard_timeout: Optional[float] = None,
 ) -> CrossEngineResult:
     """Run one sweep through both engines and compare the payloads.
 
     For non-sequential modes the vector sweep is the counted scalar
     fallback, so the comparison degenerates to a replay determinism
-    check — still a meaningful payload-equality assertion.  The service
-    knobs pass straight through to both sweeps (the store keys the two
-    engines separately, so they never share — or poison — each other's
-    cache entries).
+    check — still a meaningful payload-equality assertion.  ``store``
+    and ``shard_timeout`` pass straight through to both sweeps (the
+    store keys the two engines separately, so they never share — or
+    poison — each other's cache entries).
     """
     scalar = run_fault_sweep(
         tests, capabilities, faults, compress=compress,
         max_ops=max_ops, jobs=jobs, engine="scalar", mode=mode,
-        service=service, store=store, resume=resume,
-        shard_timeout=shard_timeout,
+        store=store, shard_timeout=shard_timeout,
     )
     vector = run_fault_sweep(
         tests, capabilities, faults, compress=compress,
         max_ops=max_ops, jobs=jobs, engine="vector", mode=mode,
-        service=service, store=store, resume=resume,
-        shard_timeout=shard_timeout,
+        store=store, shard_timeout=shard_timeout,
     )
     return CrossEngineResult(scalar=scalar, vector=vector)
 
@@ -1403,7 +1232,6 @@ def run_fault_sweeps(
     mode: str = "sequential",
     service: Optional[Any] = None,
     store: Optional[Any] = None,
-    resume: bool = False,
     shard_timeout: Optional[float] = None,
     chaos: Optional[Any] = None,
 ) -> MultiGeometrySweepReport:
@@ -1452,8 +1280,7 @@ def run_fault_sweeps(
                         tests, caps, population, compress=compress,
                         max_ops=max_ops, jobs=jobs, engine=engine,
                         mode=mode, service=shared, store=store,
-                        resume=resume, shard_timeout=shard_timeout,
-                        chaos=chaos,
+                        shard_timeout=shard_timeout, chaos=chaos,
                     )
                 )
             except SweepInterrupted as interrupt:

@@ -9,9 +9,10 @@ assert exact recovery outcomes (byte-identical reports, precise crash
 counts) instead of probabilistic ones.
 
 A :class:`ChaosPlan` is threaded into the sharded sweeps
-(``run_fault_sweep(..., chaos=plan)``); each shard's worker invocation
-is wrapped in :func:`chaos_apply`, which misbehaves *before* running
-the real shard:
+(``run_fault_sweep(..., chaos=plan)``) and down to the shard runner,
+:func:`repro.service.engine.run_shards`, which wraps each shard's
+engine job in :func:`chaos_apply` — misbehaving *before* running the
+real shard:
 
 ``kill`` / ``kill-once``
     ``SIGKILL`` the worker process (unconditionally / on the first
@@ -29,10 +30,10 @@ the real shard:
     Run the shard untouched.
 
 ``interrupt_after`` simulates ``SIGINT`` in the *orchestrator*: the
-inline checkpointed sweep raises :class:`KeyboardInterrupt` after that
-many shards complete, which drives the interrupt→partial-report→resume
-path without real signals or timing races (fuzz identity (i) runs it
-on every sample).
+runner's inline mode raises :class:`KeyboardInterrupt` after that many
+shards complete, which drives the interrupt→partial-report→resume path
+without real signals or timing races (fuzz identity (i) runs it on
+every sample).
 
 :func:`corrupt_store_entry` flips a stored payload without updating its
 hash, so the store's integrity check must catch it and the sweep must
@@ -71,8 +72,8 @@ class ChaosPlan:
             be visible to the worker processes, so a tmpdir).
         hang_s: how long "hang" sleeps (far above the test deadline).
         interrupt_after: raise ``KeyboardInterrupt`` in the
-            orchestrator after this many shards complete (inline
-            checkpointed sweeps only); ``None`` disables.
+            orchestrator after this many shards complete (the shard
+            runner's inline mode only); ``None`` disables.
     """
 
     behaviors: Dict[int, str] = field(default_factory=dict)

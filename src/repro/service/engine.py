@@ -43,6 +43,14 @@ context manager — when done.
 Jobs must be picklable: ``fn`` a module-level function, ``payload``
 plain data.  Workers are forked where available and ignore SIGINT, so
 interrupting a sweep leaves shutdown coordination to the orchestrator.
+
+:func:`run_shards` is the one execution policy on top of the engine,
+shared by fault sweeps and fuzz corpora: inline or engine execution,
+per-shard result-store reads and checkpoints (a given store is always
+read back), chaos wrapping, the serial retry of shards that only
+raised, caller-built stand-ins for lost shards, and the SIGINT exit
+with every completed shard.  It is the only caller of
+:meth:`JobEngine.run`.
 """
 
 from __future__ import annotations
@@ -127,6 +135,10 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_cap: float = 2.0
     max_spawn_failures: int = 3
+
+    def __post_init__(self) -> None:
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
     def backoff(self, key: str, attempt: int) -> float:
         """Deterministic exponential backoff with jitter.
@@ -693,3 +705,139 @@ class JobEngine:
 def _bounded_wait(handles: List[Any], timeout: float) -> List[Any]:
     """``connection.wait`` capped at the tick (keeps SIGINT responsive)."""
     return mp_connection.wait(handles, min(timeout, _WAIT_TICK_S))
+
+
+def run_shards(
+    work: Sequence[Any],
+    shard_fn: Callable[[Any], Any],
+    merge: Callable[[List[Any]], Any],
+    lost: Callable[[int, str], Any],
+    jobs: int = 1,
+    service: Optional[JobEngine] = None,
+    store: Optional[Any] = None,
+    keys: Sequence[Any] = (),
+    load: Optional[Callable[[Any], Any]] = None,
+    shard_timeout: Optional[float] = None,
+    chaos: Optional[Any] = None,
+) -> Any:
+    """Run ``shard_fn`` over every work item; the one shard runner.
+
+    Fault sweeps and fuzz corpora both execute through here.  Item
+    ``i``'s result is ``shard_fn(work[i])``, and ``merge`` reduces the
+    completed results, in work order, to a report with ``service_stats``
+    and ``interrupted`` attributes.  Behaviour by configuration:
+
+    * ``store`` set: item ``i`` is cached under ``keys[i]``.  A stored
+      payload is read back with ``load`` (a hit), and every freshly
+      completed result is ``put`` as ``result.to_json()`` at once, so
+      rerunning an interrupted run finishes from where it stopped.
+    * one job, no shared ``service`` and no chaos behaviours: the
+      missing items run inline, one after another.
+    * otherwise: they run as :class:`Job` objects on ``service`` or on a
+      private engine of up to ``jobs`` workers with ``shard_timeout``.
+      Every completed item is recorded (and stored) first.  Then an
+      item that failed only by raising (:attr:`JobOutcome.safe_inline`)
+      gets one serial in-process retry, counted in ``serial_retries``;
+      any other failure, or a failed retry, becomes the stand-in
+      ``lost(i, incident)``.
+
+    ``chaos`` (a :class:`~repro.service.chaos.ChaosPlan`) wraps each
+    engine job, and its ``interrupt_after`` stops an inline run early.
+    ``service_stats`` holds the engine counters and the store's
+    hit/miss/put deltas of this run (``None`` when neither ran).
+
+    Raises:
+        ValueError: ``shard_timeout`` is not positive.
+        SweepInterrupted: on SIGINT (or an injected interrupt),
+            carrying the merge of every completed item, marked
+            ``interrupted``.
+    """
+    from repro.conformance.faulty.check import SweepInterrupted
+
+    policy = RetryPolicy(timeout=shard_timeout)  # rejects a bad timeout
+    results: List[Any] = [None] * len(work)
+    stats: Dict[str, Any] = {}
+    before = store.stats() if store is not None else {}
+
+    def complete(i: int, result: Any) -> None:
+        results[i] = result
+        if store is not None:
+            store.put(keys[i], result.to_json())
+
+    def report() -> Any:
+        merged = merge([result for result in results if result is not None])
+        if store is not None:
+            after = store.stats()
+            stats["store"] = {
+                name: after[name] - before[name] for name in after
+            }
+        merged.service_stats = stats or None
+        return merged
+
+    if store is not None:
+        for i, key in enumerate(keys):
+            cached = store.get(key)
+            if cached is not None:
+                results[i] = load(cached)
+    missing = [i for i, result in enumerate(results) if result is None]
+    inline = (
+        service is None and jobs == 1
+        and not (chaos is not None and chaos.behaviors)
+    )
+    try:
+        if inline:
+            for done, i in enumerate(missing, 1):
+                complete(i, shard_fn(work[i]))
+                if (
+                    chaos is not None
+                    and chaos.interrupt_after is not None
+                    and done >= chaos.interrupt_after
+                    and i != missing[-1]
+                ):
+                    raise KeyboardInterrupt
+        elif missing:
+            engine = service or JobEngine(
+                workers=min(jobs, len(missing)), policy=policy
+            )
+            submissions = []
+            for i in missing:
+                fn, payload = shard_fn, work[i]
+                if chaos is not None:
+                    fn, payload = chaos.wrap(i, fn, payload)
+                submissions.append(Job(key=str(i), fn=fn, payload=payload))
+            run: Optional[EngineReport] = None
+            try:
+                run = engine.run(submissions)
+                outcomes = run.outcomes
+            except JobsInterrupted as interrupt:
+                outcomes = interrupt.outcomes
+            finally:
+                if service is None:
+                    engine.close()
+            for outcome in outcomes:
+                if outcome.ok:
+                    complete(int(outcome.key), outcome.value)
+            if run is None:
+                raise KeyboardInterrupt
+            stats.update(run.stats(), serial_retries=0)
+            for outcome in outcomes:
+                if outcome.ok:
+                    continue
+                i = int(outcome.key)
+                incident = f"{outcome.status}: {outcome.error}"
+                if outcome.safe_inline:
+                    try:
+                        complete(i, shard_fn(work[i]))
+                    except Exception as error:
+                        incident += (
+                            f"; serial retry: {type(error).__name__}: {error}"
+                        )
+                    else:
+                        stats["serial_retries"] += 1
+                        continue
+                results[i] = lost(i, incident)
+    except KeyboardInterrupt:
+        partial = report()
+        partial.interrupted = True
+        raise SweepInterrupted(partial) from None
+    return report()

@@ -243,7 +243,6 @@ def run_vector_fault_sweep(
     jobs: int = 1,
     service: Optional[Any] = None,
     store: Optional[Any] = None,
-    resume: bool = False,
     shard_timeout: Optional[float] = None,
     chaos: Optional[Any] = None,
 ) -> FaultSweepReport:
@@ -265,7 +264,7 @@ def run_vector_fault_sweep(
     return _run_sweep(
         _vector_shard, "tests", 2, tests, capabilities, faults,
         compress=compress, max_ops=max_ops, jobs=jobs, mode="sequential",
-        engine="vector", service=service, store=store, resume=resume,
+        engine="vector", service=service, store=store,
         shard_timeout=shard_timeout, chaos=chaos,
     )
 

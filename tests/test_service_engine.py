@@ -18,6 +18,7 @@ from repro.service.engine import (
     JobsInterrupted,
     RetryPolicy,
     ServiceError,
+    run_shards,
 )
 
 
@@ -243,6 +244,14 @@ class TestTimeouts:
             report = engine.run(jobs)
         assert report.outcome("hang").status == FAILED
         assert report.outcome("fast").value == 42
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        # A non-positive deadline would turn every job into a timeout.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            RetryPolicy(timeout=timeout)
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            run_shards([1], _double, list, str, shard_timeout=timeout)
 
 
 class TestDegradedMode:
