@@ -34,8 +34,10 @@ import sys
 
 from _harness import Sections, parse_geometry, write_record
 
-from repro.conformance import run_fault_sweep, sweep_faults
+from repro.conformance import GOLDEN_CACHE, run_fault_sweep, sweep_faults
+from repro.conformance.faulty.check import _partner_stream
 from repro.core.controller import ControllerCapabilities
+from repro.diagnostics.classifier import _annotate_reads
 from repro.march import library
 
 #: The quick-profile algorithm subset: the shortest library members, so
@@ -56,13 +58,18 @@ def measure(tests, caps, faults, engine: str, jobs: int) -> dict:
     workloads) are repeated up to five times and the best wall time
     kept, so the committed baseline — and the gate's fresh number —
     are not one scheduler hiccup wide.  The payload is taken from the
-    first run; repeats only refine timing.
+    first run; repeats only refine timing.  Every repeat starts from
+    cold in-process memos, as a CLI call does: a warm memo would time
+    work that no single sweep gets to skip.
     """
     payload = None
     best = None
     repeats = 0
     elapsed = 0.0
     while repeats < 5 and (repeats == 0 or elapsed < 1.0):
+        GOLDEN_CACHE.clear()
+        _partner_stream.cache_clear()
+        _annotate_reads.cache_clear()
         report = run_fault_sweep(
             tests, caps, faults, jobs=jobs, engine=engine
         )

@@ -15,7 +15,9 @@ fault state and cell contents never leak between runs:
 
 * sequential march tests — the selected controller architectures
   (:data:`~repro.conformance.check.STREAM_BUILDERS` streams captured by
-  :data:`RESPONSE_CAPTURES`);
+  :data:`RESPONSE_CAPTURES`).  No stream depends on the fault, so
+  :func:`_partner_stream` memoises them per test, keyed on the builder
+  object the entry holds (a patched entry is a new key);
 * concurrent and in-field modes — ``replay``, an independent
   re-capture of the golden stream;
 * PRT sessions — ``prt-controller`` (the cycle-stepped FSM) and
@@ -355,6 +357,34 @@ Partner = Tuple[
 ]
 
 
+@functools.lru_cache(maxsize=len(ARCHITECTURES))
+def _partner_stream(
+    builder: Callable[..., Sequence[Any]],
+    test: MarchTest,
+    caps: ControllerCapabilities,
+    compress: bool,
+) -> Tuple[Any, ...]:
+    """One architecture's attributed stream, memoised across faults.
+
+    No controller stream depends on the injected fault, yet a sweep
+    checks every (algorithm, fault) pair; this memo builds each
+    architecture's stream once per test instead of once per fault.
+
+    The key is the *builder object* that ``STREAM_BUILDERS[arch]``
+    holds at call time, plus ``(test, caps, compress)``: a builder
+    patched into ``STREAM_BUILDERS`` (a seeded defect, a tracer) is a
+    new key, never served a stale stream.  A patch *below* that entry
+    (a controller class, ``FsmInstruction.base_data``) does not change
+    the key, so whoever plants one must call
+    ``_partner_stream.cache_clear()`` before and after.  Exceptions are
+    not cached: a ``CompileError`` or a hang is raised on every call.
+    One test's worth of streams (one per architecture) is enough,
+    because sweeps visit pairs algorithm-major and a fuzz sample keeps
+    one test.  The tuple is shared between callers; nobody mutates it.
+    """
+    return tuple(builder(test, caps, compress))
+
+
 def _compare_responses(
     result: FaultResponseResult,
     test: Any,
@@ -532,7 +562,8 @@ def check_fault_conformance(
         partners = [
             (architecture,
              functools.partial(
-                 STREAM_BUILDERS[architecture], test, caps, compress
+                 _partner_stream, STREAM_BUILDERS[architecture], test,
+                 caps, compress,
              ),
              RESPONSE_CAPTURES[architecture], "BIST")
             for architecture in ARCHITECTURES

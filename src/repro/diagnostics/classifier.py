@@ -24,6 +24,7 @@ read with (element index, position-in-burst, follows-pause) context.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,12 +70,17 @@ class Diagnosis:
     rationale: str
 
 
+@functools.lru_cache(maxsize=1)
 def _annotate_reads(
     test: MarchTest, n_words: int, width: int, ports: int
-) -> List[Optional[ReadContext]]:
-    """Read context per op index of the golden stream (None for non-reads)."""
+) -> Tuple[Optional[ReadContext], ...]:
+    """Read context per op index of the golden stream (None for non-reads).
+
+    Memoised on the whole (hashable, frozen) test and geometry: the
+    fault-response checker classifies the golden capture and every
+    architecture's capture of one test, and only the fail log differs.
+    """
     # Build per-element op metadata first.
-    element_meta: List[Tuple[int, List[Tuple[int, int]], bool]] = []
     follows_pause = False
     element_index = 0
     per_item: List[Optional[Tuple[int, List[Tuple[int, int]], bool]]] = []
@@ -83,7 +89,6 @@ def _annotate_reads(
             follows_pause = True
             per_item.append(None)
             continue
-        reads: List[Tuple[int, int]] = []  # (op position, burst position)
         burst = 0
         meta: List[Tuple[int, int]] = []
         for op in item.ops:
@@ -97,10 +102,7 @@ def _annotate_reads(
         follows_pause = False
         element_index += 1
 
-    contexts: List[Optional[ReadContext]] = []
-    for op_meta in _iter_stream_meta(test, per_item, n_words, width, ports):
-        contexts.append(op_meta)
-    return contexts
+    return tuple(_iter_stream_meta(test, per_item, n_words, width, ports))
 
 
 def _iter_stream_meta(test, per_item, n_words, width, ports):

@@ -505,6 +505,19 @@ class TestParallelSweep:
         assert sum(s["runs"] for s in parallel.shards) == serial.checked
         assert parallel.wall_time_s > 0
 
+    def test_warm_parent_memo_leaves_shard_payloads_alone(self):
+        """Forked workers inherit the parent's warm partner-stream memo;
+        their shards must still equal a cold serial sweep."""
+        caps = ControllerCapabilities(n_words=3, width=1, ports=1)
+        faults = sweep_faults(caps, per_kind=1)
+        tests = [library.get("MATS+"), library.get("March C")]
+        faulty_check._partner_stream.cache_clear()
+        cold = run_fault_sweep(tests, caps, faults, jobs=1)
+        assert faulty_check._partner_stream.cache_info().currsize > 0
+        warm = run_fault_sweep(tests, caps, faults, jobs=2)
+        assert len(warm.shards) > 1
+        assert _payload(cold) == _payload(warm)
+
     def test_timing_lives_only_under_the_timing_key(self):
         caps = ControllerCapabilities(n_words=2, width=1, ports=1)
         report = run_fault_sweep(
@@ -722,3 +735,75 @@ class TestGoldenTraceMemoisation:
             library.get("MATS"), CAPS, parse_fault("saf:0:0:0")
         )
         assert GOLDEN_CACHE.hits >= 1
+
+
+class TestPartnerStreamMemo:
+    """The fault-independent partner streams are memoised per test; the
+    memo must never serve a seeded defect a stale stream."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        faulty_check._partner_stream.cache_clear()
+        yield
+        faulty_check._partner_stream.cache_clear()
+
+    def test_one_build_per_architecture_across_faults(self):
+        report = run_fault_sweep(
+            [library.get("March C")], CAPS, sweep_faults(CAPS, per_kind=1)
+        )
+        assert report.ok, report.format()
+        info = faulty_check._partner_stream.cache_info()
+        assert info.misses == len(faulty_check.ARCHITECTURES)
+        assert info.hits == (report.checked - 1) * info.misses
+
+    def test_patched_builder_bypasses_a_warm_memo(self, monkeypatch):
+        tests = [library.get("March C")]
+        # The sample sits at address 0; the stream's last op reads
+        # address 3 expecting bit 1 high, which saf:3:1:0 fails.
+        faults = sweep_faults(CAPS, per_kind=1) + [parse_fault("saf:3:1:0")]
+        assert run_fault_sweep(tests, CAPS, faults).ok
+        original = faulty_check.STREAM_BUILDERS["hardwired"]
+
+        def drops_last_op(test, caps, compress):
+            return original(test, caps, compress)[:-1]
+
+        monkeypatch.setitem(
+            faulty_check.STREAM_BUILDERS, "hardwired", drops_last_op
+        )
+        patched = run_fault_sweep(tests, CAPS, faults)
+        assert patched.failures
+        for failure in patched.failures:
+            assert [
+                (response["architecture"], response["status"])
+                for response in failure["architectures"]
+                if response["status"] != "ok"
+            ] == [("hardwired", "diverged")]
+        monkeypatch.undo()
+        assert run_fault_sweep(tests, CAPS, faults).ok
+
+    def test_patch_below_the_builder_entry_needs_cache_clear(
+        self, monkeypatch
+    ):
+        """The datapath defect of ``tests/test_conformance.py`` patches
+        below ``STREAM_BUILDERS``, so the memo key does not change: a
+        warm memo keeps serving the pre-patch stream until cleared."""
+        from repro.core.progfsm.instruction import (
+            DataControl,
+            FsmInstruction,
+        )
+
+        test = library.get("March C")
+        fault = parse_fault("saf:1:0:1")
+        assert check_fault_conformance(test, CAPS, fault).ok
+        monkeypatch.setattr(
+            FsmInstruction,
+            "base_data",
+            property(
+                lambda self:
+                0 if self.data_ctrl is DataControl.BASE1 else 1
+            ),
+        )
+        assert check_fault_conformance(test, CAPS, fault).ok
+        faulty_check._partner_stream.cache_clear()
+        result = check_fault_conformance(test, CAPS, fault)
+        assert [r.architecture for r in result.failures] == ["progfsm"]
