@@ -11,14 +11,17 @@ Two profiles:
   half of the algorithm library against a stratified fault sample on a
   64-word memory, scalar ``jobs=1`` vs vector ``jobs=1``.  Small
   enough to run on every pull request, big enough that the vector
-  kernel's >=10x advantage is measurable above timer noise.
+  kernel's >=10x advantage is measurable above timer noise.  It also
+  times a cold Tables 1–3 build at 1024 words (the paper's artefact,
+  almost all two-level logic minimisation) as the ``tables@1`` entry,
+  whose ``runs_per_s`` counts table rows per second.
 * **full** (``--profile full``) — the nightly workload: the whole
   library against the full spec-expressible universe, all four
   (engine, jobs) combinations.
 
 The committed ``benchmarks/BENCH_fault_sweep.json`` baseline is a
 quick-profile record; ``bench_gate.py`` compares a fresh quick run
-against it.  Run directly::
+against it, ``tables@1`` included.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_fault_sweep.py
     PYTHONPATH=src python benchmarks/bench_fault_sweep.py \
@@ -32,12 +35,13 @@ import json
 import os
 import sys
 
-from _harness import Sections, parse_geometry, write_record
+from _harness import Sections, parse_geometry, timed, write_record
 
 from repro.conformance import GOLDEN_CACHE, run_fault_sweep, sweep_faults
 from repro.conformance.faulty.check import _partner_stream
 from repro.core.controller import ControllerCapabilities
 from repro.diagnostics.classifier import _annotate_reads
+from repro.eval.experiments import table1, table2, table3
 from repro.march import library
 
 #: The quick-profile algorithm subset: the shortest library members, so
@@ -49,6 +53,9 @@ SHORT_ALGORITHMS = ("MATS", "MATS+", "MATS++", "March X", "March Y")
 #: advantage is architectural rather than incidental (ISSUE acceptance
 #: floor: >=10x on >=64-word geometries).
 QUICK_GEOMETRY = (64, 1, 1)
+
+#: Memory size of the quick profile's table build: the paper's tables.
+TABLE_WORDS = 1024
 
 
 def measure(tests, caps, faults, engine: str, jobs: int) -> dict:
@@ -90,6 +97,33 @@ def measure(tests, caps, faults, engine: str, jobs: int) -> dict:
             "fallback_runs": timing["fallback_runs"],
             "repeats": repeats,
         },
+    }
+
+
+def measure_tables() -> dict:
+    """Tables 1–3 built at :data:`TABLE_WORDS` words → an engine entry.
+
+    Nothing in the build is memoised, so every repeat is cold; repeats
+    follow :func:`measure`'s rule and the best wall time is kept.
+    """
+    best = None
+    repeats = 0
+    elapsed = 0.0
+    while repeats < 5 and (repeats == 0 or elapsed < 1.0):
+        with timed() as build:
+            rows = (
+                len(table1(TABLE_WORDS))
+                + len(table2(TABLE_WORDS))
+                + len(table3(TABLE_WORDS))
+            )
+        if best is None or build.seconds < best:
+            best = build.seconds
+        repeats += 1
+        elapsed += build.seconds
+    return {
+        "wall_time_s": round(best, 6),
+        "runs_per_s": round(rows / best, 2),
+        "repeats": repeats,
     }
 
 
@@ -155,6 +189,9 @@ def main(argv=None) -> int:
         f"{m['record']['engine']}@{m['record']['jobs']}": m["record"]
         for m in measurements
     }
+    if not full:
+        with sections.section("tables@1"):
+            engines["tables@1"] = measure_tables()
     scalar_rps = engines["scalar@1"]["runs_per_s"]
     vector_rps = engines["vector@1"]["runs_per_s"]
     speedup = (
@@ -187,10 +224,14 @@ def main(argv=None) -> int:
         f"{record['runs']} runs):"
     )
     for key, entry in engines.items():
+        fallbacks = (
+            f", {entry['fallback_runs']} fallback(s)"
+            if "fallback_runs" in entry
+            else ""
+        )
         print(
             f"  {key}: {entry['wall_time_s']:.2f} s "
-            f"({entry['runs_per_s']} runs/s, "
-            f"{entry['fallback_runs']} fallback(s))"
+            f"({entry['runs_per_s']} runs/s{fallbacks})"
         )
     print(f"  vector speedup (jobs=1): {speedup}x")
     print(f"  reports identical (timing aside): {identical}")

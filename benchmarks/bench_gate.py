@@ -2,10 +2,13 @@
 
 Compares a just-measured ``BENCH_fault_sweep.json`` record against the
 baseline committed at ``benchmarks/BENCH_fault_sweep.json`` and exits 1
-when any shared (engine, jobs) entry's ``runs_per_s`` fell more than
-``--tolerance`` (default 30%) below the baseline.  Faster-than-baseline
-is never an error — the baseline is refreshed by the nightly job, not
-by the gate.
+when any shared ``engines`` entry's ``runs_per_s`` fell more than
+``--tolerance`` (default 30%) below the baseline.  In a quick-profile
+record those entries are the two sweep engines (``scalar@1`` and
+``vector@1``, runs per second) and the Tables 1–3 build at 1024 words
+(``tables@1``, table rows per second), so table-build time is gated
+by the same loop.  Faster-than-baseline is never an error — the
+baseline is refreshed by the nightly job, not by the gate.
 
 The two records must describe the same workload (profile, geometry,
 algorithms, universe, run count) — a mismatch is a hard error rather

@@ -45,10 +45,12 @@ def _summarise(benchmark: str, record: dict) -> list:
             f"identical={record['reports_identical_sans_timing']}"
         ]
         for key, entry in engines.items():
-            lines.append(
-                f"    {key}: {entry['runs_per_s']} runs/s "
-                f"({entry['fallback_runs']} fallback(s))"
+            fallbacks = (
+                f" ({entry['fallback_runs']} fallback(s))"
+                if "fallback_runs" in entry
+                else ""
             )
+            lines.append(f"    {key}: {entry['runs_per_s']} runs/s{fallbacks}")
         return lines
     if benchmark == "coverage_static":
         lines = [

@@ -5,10 +5,10 @@ logic grows with the complexity of the fixed march algorithm; to measure
 that growth honestly (rather than asserting it), the area estimator
 synthesises each FSM's combinational logic from its truth table:
 
-1. :func:`minimize_sop` — exact prime-implicant generation by iterated
-   combining (Quine–McCluskey) followed by essential-prime selection and
-   a greedy cover of the remainder.  Exact enough for the ≤ 14-variable
-   tables produced by the controllers here.
+1. :func:`minimize_sop` — exact Quine–McCluskey primes, generated
+   bit-parallel (one 2ⁿ-bit int per don't-care mask), then
+   essential-prime selection and a greedy cover of the remainder.  Exact
+   enough for the ≤ 14-variable tables produced by the controllers here.
 2. :func:`sop_gate_equivalents` — cost of a sum-of-products network in
    2-input-gate equivalents: an AND of *k* literals is *k − 1* 2-input
    gates, an OR of *t* terms is *t − 1*, plus shared input inverters.
@@ -38,34 +38,34 @@ def _covers(implicant: Implicant, minterm: int) -> bool:
 def prime_implicants(
     n_vars: int, ones: Iterable[int], dont_cares: Iterable[int] = ()
 ) -> List[Implicant]:
-    """All prime implicants of the function (Quine–McCluskey step 1)."""
-    full_mask = (1 << n_vars) - 1
-    current: Set[Implicant] = {
-        (minterm, full_mask) for minterm in set(ones) | set(dont_cares)
-    }
-    primes: Set[Implicant] = set()
-    while current:
-        combined: Set[Implicant] = set()
-        used: Set[Implicant] = set()
-        by_care: Dict[int, List[Implicant]] = {}
-        for imp in current:
-            by_care.setdefault(imp[1], []).append(imp)
-        for care, group in by_care.items():
-            seen = set(value for value, _ in group)
-            for value in seen:
-                # Try dropping each cared variable; the pair partner is
-                # the same term with that bit flipped.
-                for bit_index in range(n_vars):
-                    bit = 1 << bit_index
-                    if not care & bit:
-                        continue
-                    partner = value ^ bit
-                    if partner in seen:
-                        combined.add((value & ~bit & care, care & ~bit))
-                        used.add((value, care))
-                        used.add((partner, care))
-        primes |= current - used
-        current = combined
+    """All prime implicants of the function (Quine–McCluskey step 1).
+
+    Bit *v* of ``imp[free]`` is set when the cube that drops the variables
+    of ``free`` and fixes the rest to *v* lies in ``ones ∪ dont_cares``.
+    """
+    full = (1 << n_vars) - 1
+    space = (1 << (1 << n_vars)) - 1
+    imp = [0] * (1 << n_vars)
+    for minterm in set(ones) | set(dont_cares):
+        imp[0] |= 1 << minterm
+    # low[bit] marks the minterms with that bit clear: ``bit`` ones then
+    # ``bit`` zeros, repeated, which is space // (2**bit + 1).
+    low = {1 << i: space // ((1 << (1 << i)) + 1) for i in range(n_vars)}
+    # free ^ bit < free, so each half is built before the cube it joins.
+    for free in range(1, 1 << n_vars):
+        bit = free & -free
+        half = imp[free ^ bit]
+        imp[free] = half & (half >> bit) & low[bit]
+    # A cube is prime when no cube one variable wider contains it.
+    primes: List[Implicant] = []
+    for free, cubes in enumerate(imp):
+        for bit in low:
+            if cubes and not free & bit:
+                wider = imp[free | bit]
+                cubes &= ~(wider | wider << bit)
+        while cubes:
+            primes.append(((cubes & -cubes).bit_length() - 1, full & ~free))
+            cubes &= cubes - 1
     return sorted(primes)
 
 

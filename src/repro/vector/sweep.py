@@ -36,7 +36,7 @@ engine's own, byte for byte.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.conformance.check import ARCHITECTURES, GOLDEN_CACHE, STREAM_BUILDERS
 from repro.conformance.faulty import events as faulty_events
@@ -46,15 +46,10 @@ from repro.conformance.faulty.check import (
     _run_sweep,
     check_fault_conformance,
 )
-from repro.conformance.faulty.events import (
-    FailEvent,
-    ResponseBudgetExceeded,
-    ResponseCapture,
-)
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
 from repro.march.test import MarchTest
-from repro.vector.errors import UnsupportedFault, VectorEngineError
+from repro.vector.errors import VectorEngineError
 from repro.vector.kernel import MAX_WIDTH, evaluate_lanes, state_dtype
 from repro.vector.ops import CompiledStream, compile_stream
 from repro.vector.semantics import lane_spec
@@ -268,50 +263,3 @@ def run_vector_fault_sweep(
         shard_timeout=shard_timeout, chaos=chaos,
     )
 
-
-def vector_capture(
-    stream,
-    capabilities: ControllerCapabilities,
-    fault: CellFault,
-    max_ops: Optional[int] = None,
-) -> ResponseCapture:
-    """One fault's response capture via the lane kernel.
-
-    The vector twin of
-    :func:`~repro.conformance.faulty.events.capture_response` for a
-    single fault — used by the differential tests and the fuzz
-    cross-engine identity to compare captures event-for-event.
-
-    Raises:
-        UnsupportedFault: the fault has no validated lane semantics.
-        ResponseBudgetExceeded: the stream overruns ``max_ops`` (same
-            classification as the scalar capture).
-    """
-    caps = capabilities
-    spec = lane_spec(fault, caps.n_words, caps.width, caps.ports)
-    if spec is None:
-        raise UnsupportedFault(
-            f"no vector lane semantics for: {fault.describe()}"
-        )
-    if max_ops is not None and len(stream) > max_ops:
-        raise ResponseBudgetExceeded(
-            f"op budget of {max_ops} exceeded after "
-            f"{max_ops} operation(s)"
-        )
-    compiled = compile_stream(stream, (1 << caps.width) - 1)
-    lane_events, _ = evaluate_lanes(
-        compiled, caps.n_words, caps.width, [spec]
-    )
-    events: List[FailEvent] = []
-    for op_index, observed in lane_events[0]:
-        events.append(
-            FailEvent(
-                op_index=op_index,
-                port=int(compiled.ports[op_index]),
-                address=int(compiled.addresses[op_index]),
-                expected=int(compiled.data[op_index]),
-                observed=observed,
-                owner=compiled.owners[op_index],
-            )
-        )
-    return ResponseCapture(ops_applied=compiled.length, events=events)

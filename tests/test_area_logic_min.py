@@ -1,5 +1,8 @@
 """Unit tests for the Quine–McCluskey minimiser and SOP costing."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.area.logic_min import (
@@ -9,6 +12,11 @@ from repro.area.logic_min import (
     prime_implicants,
     sop_gate_equivalents,
 )
+from repro.core.controller import ControllerCapabilities
+from repro.core.hardwired.synthesis import synthesize
+from repro.core.microcode.controller import decoder_truth_table
+from repro.core.progfsm.lower_fsm import lower_fsm_truth_table
+from repro.march import library
 
 
 def evaluate_cover(cover, minterm):
@@ -89,6 +97,41 @@ class TestPrimeImplicants:
     def test_isolated_minterms_are_primes(self):
         primes = prime_implicants(2, [0, 3])
         assert (0, 3) in primes and (3, 3) in primes
+
+    def test_zero_variables(self):
+        assert prime_implicants(0, [0]) == [(0, 0)]
+        assert prime_implicants(0, []) == []
+
+    def test_empty_on_set(self):
+        assert prime_implicants(3, []) == []
+
+    def test_full_space(self):
+        assert prime_implicants(3, [0, 5], dont_cares=[1, 2, 3, 4, 6, 7]) == [
+            (0, 0)
+        ]
+
+
+#: sha256 of the JSON of ``synthesize()`` for the microcode decoder, the
+#: programmable FSM's lower FSM and the six hardwired Table 1 controllers
+#: (1024 words, bit-oriented, single port).  The pinned tables round the
+#: gate counts; this pins every cover, term order included.
+SYNTHESISED_COVERS_SHA256 = (
+    "d171ae36d31f27f841a560df0175b4b766b285049b3298e67f442352d8264977"
+)
+
+
+def test_synthesised_covers_are_pinned():
+    caps = ControllerCapabilities(n_words=1024, width=1, ports=1)
+    tables = [
+        ("microcode decoder", decoder_truth_table()),
+        ("progfsm lower fsm", lower_fsm_truth_table()),
+    ] + [
+        (test.name, synthesize(test, caps).truth_table())
+        for test in library.PAPER_BASELINES
+    ]
+    payload = json.dumps([[label, t.synthesize()] for label, t in tables])
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == SYNTHESISED_COVERS_SHA256
 
 
 class TestCosting:

@@ -18,7 +18,7 @@ from repro.core.microcode.isa import ConditionOp, INSTRUCTION_BITS
 from repro.core.progfsm import ProgrammableFsmBistController
 from repro.core.progfsm.compiler import CompileError
 from repro.core.progfsm.instruction import FsmInstruction
-from repro.area.logic_min import minimize_sop
+from repro.area.logic_min import minimize_sop, prime_implicants
 from repro.march.backgrounds import apply_polarity, data_backgrounds
 from repro.march.element import AddressOrder, MarchElement, OpKind, Operation, Pause
 from repro.march.notation import format_test, parse_test
@@ -239,6 +239,50 @@ def test_minimize_sop_equivalence(n_vars, data):
             assert covered
         elif minterm not in dc:
             assert not covered
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _brute_force_primes(n_vars, on_set):
+    """Prime implicants by walking all 3ⁿ cubes: a cube is prime when it
+    lies inside the on-set and no cube with one literal fewer does."""
+    full = (1 << n_vars) - 1
+
+    def inside(value, care):
+        return all(value | sub in on_set for sub in _submasks(full & ~care))
+
+    return sorted(
+        (value, care)
+        for care in range(1 << n_vars)
+        for value in _submasks(care)
+        if inside(value, care)
+        and not any(
+            inside(value & ~(1 << i), care & ~(1 << i))
+            for i in range(n_vars)
+            if care >> i & 1
+        )
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=8), st.data())
+def test_prime_implicants_match_brute_force(n_vars, data):
+    space = 1 << n_vars
+    ones_mask = data.draw(st.integers(0, (1 << space) - 1))
+    dc_mask = data.draw(st.integers(0, (1 << space) - 1))
+    ones = [m for m in range(space) if ones_mask >> m & 1]
+    dont_cares = [m for m in range(space) if dc_mask >> m & 1]
+    # List equality, order included: the greedy cover depends on it.
+    assert prime_implicants(n_vars, ones, dont_cares) == _brute_force_primes(
+        n_vars, set(ones) | set(dont_cares)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Three layers of evidence that ``engine="vector"`` is a pure
 performance change:
 
-* **event level** — :func:`repro.vector.sweep.vector_capture` must
+* **event level** — the lane kernel run on one fault must
   reproduce :func:`capture_response`'s fail events field-for-field for
   every spec-expressible fault kind, on geometries from the degenerate
   (1,1,1) up to multi-bit multi-port;
@@ -31,7 +31,12 @@ from repro.conformance.faulty.check import (
     FaultSweepReport,
     check_cross_engine,
 )
-from repro.conformance.faulty.events import capture_response
+from repro.conformance.faulty.events import (
+    FailEvent,
+    ResponseBudgetExceeded,
+    ResponseCapture,
+    capture_response,
+)
 from repro.conformance.trace import golden_trace
 from repro.core.controller import ControllerCapabilities
 from repro.faults.port import PortRestrictedFault, PortStuckOpenAccess
@@ -40,7 +45,9 @@ from repro.faults.stuck_at import StuckAtFault
 from repro.march import library
 from repro.memory.sram import Sram
 from repro.vector.errors import UnsupportedFault
-from repro.vector.sweep import vector_capture
+from repro.vector.kernel import evaluate_lanes
+from repro.vector.ops import compile_stream
+from repro.vector.semantics import lane_spec
 
 MARCH_C = library.get("March C")
 MARCH_CPP = library.get("March C++")
@@ -55,6 +62,43 @@ def _scalar_capture(stream, caps, fault):
     memory.attach(fault)
     fault.reset()
     return capture_response(stream, memory)
+
+
+def _vector_capture(stream, caps, fault, max_ops=None):
+    """One fault's response capture via the lane kernel: the vector twin
+    of :func:`capture_response`, compared with it event for event.
+
+    Raises:
+        UnsupportedFault: the fault has no validated lane semantics.
+        ResponseBudgetExceeded: the stream overruns ``max_ops`` (same
+            classification as the scalar capture).
+    """
+    spec = lane_spec(fault, caps.n_words, caps.width, caps.ports)
+    if spec is None:
+        raise UnsupportedFault(
+            f"no vector lane semantics for: {fault.describe()}"
+        )
+    if max_ops is not None and len(stream) > max_ops:
+        raise ResponseBudgetExceeded(
+            f"op budget of {max_ops} exceeded after "
+            f"{max_ops} operation(s)"
+        )
+    compiled = compile_stream(stream, (1 << caps.width) - 1)
+    lane_events, _ = evaluate_lanes(
+        compiled, caps.n_words, caps.width, [spec]
+    )
+    events = [
+        FailEvent(
+            op_index=op_index,
+            port=int(compiled.ports[op_index]),
+            address=int(compiled.addresses[op_index]),
+            expected=int(compiled.data[op_index]),
+            observed=observed,
+            owner=compiled.owners[op_index],
+        )
+        for op_index, observed in lane_events[0]
+    ]
+    return ResponseCapture(ops_applied=compiled.length, events=events)
 
 
 def _events(capture):
@@ -78,7 +122,7 @@ class TestEventLevelEquivalence:
         stream = golden_trace(MARCH_CPP, caps)
         for fault in sweep_faults(caps, full=True):
             try:
-                vector = vector_capture(stream, caps, fault)
+                vector = _vector_capture(stream, caps, fault)
             except UnsupportedFault:
                 continue
             scalar = _scalar_capture(stream, caps, fault)
@@ -89,7 +133,7 @@ class TestEventLevelEquivalence:
         caps = _caps(4, 2, 2)
         stream = golden_trace(MARCH_C, caps)
         fault = PortStuckOpenAccess(port=1, word=2, bit=1)
-        vector = vector_capture(stream, caps, fault)
+        vector = _vector_capture(stream, caps, fault)
         scalar = _scalar_capture(stream, caps, fault)
         assert _events(vector) == _events(scalar)
         assert vector.detected
@@ -99,10 +143,8 @@ class TestEventLevelEquivalence:
         caps = _caps(4, 2, 1)
         stream = golden_trace(MARCH_C, caps)
         fault = StuckAtFault(0, 0, 1)
-        from repro.conformance.faulty.events import ResponseBudgetExceeded
-
         with pytest.raises(ResponseBudgetExceeded) as vector_error:
-            vector_capture(stream, caps, fault, max_ops=3)
+            _vector_capture(stream, caps, fault, max_ops=3)
         with pytest.raises(ResponseBudgetExceeded) as scalar_error:
             _scalar_capture_budget(stream, caps, fault, max_ops=3)
         assert str(vector_error.value) == str(scalar_error.value)
